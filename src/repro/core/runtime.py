@@ -123,8 +123,10 @@ class _CrossingPlan:
     straight-line function each (amounts and unit names baked in as
     constants, the clock accumulated in a local and stored once — the
     same left-to-right float additions, so the result is bit-identical).
-    The ``*_tape`` / delta slots keep the symbolic form the neutrality
-    tests inspect.
+    The functions are shared process-wide (see :func:`_compile_crossing`);
+    the plan itself is per dispatcher, because it binds this kernel's
+    thread object.  The ``*_tape`` / delta slots keep the symbolic form
+    the neutrality tests inspect.
     """
 
     __slots__ = ("caller_unit", "target_unit", "thread",
@@ -132,6 +134,15 @@ class _CrossingPlan:
                  "req_fallbacks", "req_run",
                  "rep_tape", "rep_switches", "rep_deps", "rep_wasted",
                  "rep_fallbacks", "rep_run")
+
+
+#: process-wide compiled crossing sides, keyed by their generated
+#: source text: every fresh kernel (fleet boot/revive, root reboot)
+#: rebinds its plans from here instead of compiling the same text again.
+#: Bounded so a process full of distinct cost models cannot grow it
+#: without limit; a crossing past the bound compiles uncached.
+_CROSSING_CODE: Dict[str, Any] = {}
+_CROSSING_CODE_LIMIT = 512
 
 
 def _compile_crossing(tape, deltas, msg_dispatch, caller_unit,
@@ -146,6 +157,11 @@ def _compile_crossing(tape, deltas, msg_dispatch, caller_unit,
     replaces.  The domain/scheduler bookkeeping that the fast lane
     performed inline follows, with the per-plan stat deltas folded into
     constants.
+
+    Everything the function does is spelled out in its source text, and
+    its globals hold only the two thread-state constants, so one text
+    always yields the same behaviour: the function is looked up in
+    :data:`_CROSSING_CODE` by that text before anything is compiled.
     """
     switches, deps, wasted, fallbacks = deltas
     src = ["def run(sim, md, sched, thread, size):",
@@ -203,9 +219,18 @@ def _compile_crossing(tape, deltas, msg_dispatch, caller_unit,
     # The message id feeds the dispatch span's ``msg_id`` when a flight
     # recorder is attached; plain callers ignore the return value.
     src.append("    return mid")
+    text = "\n".join(src)
+    run = _CROSSING_CODE.get(text)
+    if run is not None:
+        return run
     namespace = {"_RUNNING": _RUNNING, "_IDLE": _IDLE}
-    exec("\n".join(src), namespace)  # noqa: S102 - static template
-    return namespace["run"]
+    exec(text, namespace)  # noqa: S102 - static template
+    # popped, so the globals never hold the function: no
+    # function <-> globals cycle is left for the cyclic GC
+    run = namespace.pop("run")
+    if len(_CROSSING_CODE) < _CROSSING_CODE_LIMIT:
+        _CROSSING_CODE[text] = run
+    return run
 
 
 def _replay_obs_crossing(obs, md, tape):
@@ -261,6 +286,18 @@ class VampDispatcher:
         #: crossing cannot be compiled (round-robin, merged units)
         self._plans: Dict[Tuple[str, str, bool], Any] = {}
         self._bound = True
+
+    def plant_stale_plan(self, key: Tuple[Any, ...]) -> None:
+        """Poison the plan cache with a junk ``key`` (root-aging wear).
+
+        The entry is False — "cannot compile" — so no dispatch ever
+        reads it: it is pure unreclaimed growth, dropped only when a
+        root reboot rebinds a fresh cache.  The shared compiled-tape
+        table is never touched.
+        """
+        if not self._bound:
+            self._bind()
+        self._plans[key] = False
 
     def _build_plan(self, caller: str, target: str,
                     logged: bool) -> Any:
@@ -1482,7 +1519,8 @@ class VampOSKernel(Kernel):
         self.message_domain.__init__(  # type: ignore[misc]
             self.sim, self.msg_domain)
         # Drop the dispatcher's bound handles: the next invoke rebinds
-        # and recompiles every crossing plan against the fresh root.
+        # every crossing plan against the fresh root, reusing the
+        # shared compiled tapes.
         self._vamp._bound = False
 
     def _root_heartbeat(self) -> None:

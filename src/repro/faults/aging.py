@@ -228,15 +228,9 @@ class RootAgingModel:
         self.kernel.root_wear.note_orphan_slot(message.msg_id, size)
 
     def _stale_plan(self) -> None:
-        vamp = self.kernel._vamp
-        if not vamp._bound:
-            vamp._bind()
         self._serial += 1
         key = ("ROOT", f"stale-{self._serial}", False)
-        # A poisoned cache entry: the compiled-crossing cache treats
-        # False as "cannot compile", so real dispatches never read it —
-        # the entry is pure unreclaimed growth.
-        vamp._plans[key] = False
+        self.kernel._vamp.plant_stale_plan(key)
         self.kernel.root_wear.note_stale_plan(key)
 
     def _tombstone(self, size: int) -> None:

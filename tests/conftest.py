@@ -68,3 +68,19 @@ def vamp_kernel(sim, share) -> VampOSKernel:
 @pytest.fixture
 def vanilla_kernel(sim, share) -> UnikraftKernel:
     return build_kernel(sim, share, mode="unikraft")
+
+
+@pytest.fixture
+def crossing_compiles(monkeypatch) -> list:
+    """Record every crossing-tape source compiled while the test runs
+    (the text ``_compile_crossing`` hands to ``exec``)."""
+    from repro.core import runtime
+
+    compiled: list = []
+
+    def counting_exec(source, namespace):
+        compiled.append(source)
+        exec(source, namespace)  # noqa: S102 - the code under test
+
+    monkeypatch.setattr(runtime, "exec", counting_exec, raising=False)
+    return compiled

@@ -16,6 +16,7 @@ import pytest
 
 from repro.core.calllog import ComponentCallLog, _is_immutable, _payload_bytes
 from repro.core.config import DAS
+from repro.core.scheduler import ThreadState
 from repro.core.shrink import LogShrinker
 from repro.fastpath import FLAGS, reference_mode
 from repro.sim.engine import Simulation
@@ -26,11 +27,11 @@ from tests.core.test_shrink import SessionComponent, make_world, record
 MESSAGE = b"m" * 221 + b"\n"
 
 
-def _fig5_syscall_loop(mode, iterations=40):
+def _fig5_syscall_loop(mode, iterations=40, costs=None):
     """A scaled-down Fig. 5 mix: file churn plus a socket echo."""
     from repro.apps.nginx import MiniNginx
 
-    app = MiniNginx(Simulation(seed=17), mode=mode)
+    app = MiniNginx(Simulation(seed=17, costs=costs), mode=mode)
     app.share.create("/srv/neutral.dat", b"z" * 512)
     libc = app.libc
     client = app.network.connect(app.PORT)
@@ -228,6 +229,89 @@ class TestObsRecordingNeutrality:
         with reference_mode():
             slow = self._recording(sample=16)
         assert fast == slow
+
+
+class TestSharedCrossingCode:
+    """The compiled tape functions are shared process-wide, keyed by
+    their generated source text; the plans that bind a kernel's thread
+    objects stay per dispatcher."""
+
+    @staticmethod
+    def _plans(costs=None):
+        from repro.apps.nginx import MiniNginx
+
+        app = MiniNginx(Simulation(seed=17, costs=costs), mode=DAS)
+        app.share.create("/srv/neutral.dat", b"z" * 512)
+        fd = app.libc.open("/srv/neutral.dat", "rw")
+        app.libc.write(fd, b"x")
+        app.libc.close(fd)
+        return {key: plan
+                for key, plan in app.kernel._vamp._plans.items() if plan}
+
+    def test_two_kernels_share_the_compiled_functions(
+            self, crossing_compiles):
+        first = self._plans()
+        compiled = len(crossing_compiles)
+        second = self._plans()
+        assert first and first.keys() == second.keys()
+        for key, plan in second.items():
+            assert plan is not first[key]
+            assert plan.thread is not first[key].thread
+            assert plan.req_run is first[key].req_run
+            assert plan.rep_run is first[key].rep_run
+        assert len(crossing_compiles) == compiled
+
+    def test_other_cost_model_gets_other_functions(self):
+        from repro.sim.costs import DEFAULT_COSTS
+
+        costs = DEFAULT_COSTS.with_overrides(
+            msg_push=DEFAULT_COSTS.msg_push + 0.25)
+        base = self._plans()
+        other = self._plans(costs)
+        assert other.keys() == base.keys()
+        for key, plan in other.items():
+            assert plan.req_run is not base[key].req_run
+            assert plan.rep_run is not base[key].rep_run
+            assert plan.req_tape[0] == ("msg_push", costs.msg_push)
+        # the default model's functions are in the table now; the other
+        # model's ledger must still match its own reference run
+        fast = _ledger_state(_fig5_syscall_loop(DAS, costs=costs))
+        with reference_mode():
+            slow = _ledger_state(_fig5_syscall_loop(DAS, costs=costs))
+        assert fast == slow
+
+    def test_functions_close_over_no_kernel_state(self):
+        import builtins
+
+        for plan in self._plans().values():
+            for run in (plan.req_run, plan.rep_run):
+                assert run.__closure__ is None
+                assert run.__defaults__ is None
+                assert set(run.__globals__) == {
+                    "_RUNNING", "_IDLE", "__builtins__"}
+                assert run.__globals__["_RUNNING"] is ThreadState.RUNNING
+                assert run.__globals__["_IDLE"] is ThreadState.IDLE
+                assert run.__globals__["__builtins__"] in (
+                    builtins, vars(builtins))
+
+    def test_table_stops_at_its_bound(self, monkeypatch, crossing_compiles):
+        from repro.core import runtime
+
+        table: dict = {}
+        monkeypatch.setattr(runtime, "_CROSSING_CODE", table)
+        monkeypatch.setattr(runtime, "_CROSSING_CODE_LIMIT", 2)
+        fast = TestBatchedCrossingParity()._full_state()
+        assert len(table) == 2
+        first = len(crossing_compiles)
+        assert first > 2
+        # past the bound every fresh kernel compiles again, uncached,
+        # and still leaves every piece of state where the reference does
+        again = TestBatchedCrossingParity()._full_state()
+        assert len(table) == 2
+        assert len(crossing_compiles) == 2 * first - 2
+        with reference_mode():
+            slow = TestBatchedCrossingParity()._full_state()
+        assert fast == again == slow
 
 
 @pytest.mark.slow

@@ -48,3 +48,33 @@ def test_reference_mode_ledger_parity_per_instance():
         assert ledger["totals"] == twin["totals"], name
         assert ledger["counts"] == twin["counts"], name
         assert ledger["elapsed_us"] == twin["elapsed_us"], name
+
+
+def _outcome_state(outcome):
+    """Every ShardOutcome field, with the SLO ledger (which compares by
+    identity) in its JSON form."""
+    state = dict(vars(outcome))
+    state["slo"] = outcome.slo.to_jsonable()
+    return state
+
+
+def test_shared_crossing_code_is_invisible(crossing_compiles):
+    """A cell whose crossing tapes all come from the process-wide table
+    serves exactly what a cell compiling them afresh serves, and a warm
+    table leaves nothing to compile."""
+    from repro.core import runtime
+
+    seed = shard_seed(20240808, "fleet", 1)
+    first = fleet_cell(TINY, ROUTED_ARM, 1, seed)
+    runtime._CROSSING_CODE.clear()
+    del crossing_compiles[:]
+    second = fleet_cell(TINY, ROUTED_ARM, 1, seed)
+    assert crossing_compiles
+    assert _outcome_state(second) == _outcome_state(first)
+    assert second.instance_ledgers.keys() == first.instance_ledgers.keys()
+    for name, ledger in first.instance_ledgers.items():
+        assert second.instance_ledgers[name] == ledger, name
+    del crossing_compiles[:]
+    third = fleet_cell(TINY, ROUTED_ARM, 1, seed)
+    assert crossing_compiles == []
+    assert _outcome_state(third) == _outcome_state(first)

@@ -131,6 +131,53 @@ class TestIdentityPreservation:
             + record.tombstones_dropped == 30
 
 
+class TestSharedCrossingRebind:
+    """A root reboot drops the dispatcher's plans, not the compiled
+    tapes: the rebuilt plans rebind the process-wide functions."""
+
+    @staticmethod
+    def _compiled(kernel):
+        return {key: plan
+                for key, plan in kernel._vamp._plans.items() if plan}
+
+    def test_rebuilt_plans_reuse_the_shared_functions(
+            self, crossing_compiles):
+        kernel = _fresh_kernel()
+        _warm(kernel)
+        before = self._compiled(kernel)
+        assert before
+        del crossing_compiles[:]
+        kernel.rejuvenate_root(reason="test")
+        _warm(kernel)
+        after = self._compiled(kernel)
+        assert after and after.keys() <= before.keys()
+        for key, plan in after.items():
+            assert plan is not before[key]
+            assert plan.req_run is before[key].req_run
+            assert plan.rep_run is before[key].rep_run
+        assert crossing_compiles == []
+
+    def test_stale_plan_keys_never_reach_the_shared_table(self):
+        from repro.core import runtime
+
+        kernel = _fresh_kernel()
+        _warm(kernel)
+        table = dict(runtime._CROSSING_CODE)
+        FaultInjector(kernel).inject_root_age(40)
+        wear = kernel.root_wear
+        stale = list(wear.stale_plan_keys)
+        assert stale and wear.lifetime_plans == len(stale)
+        plans = kernel._vamp._plans
+        assert all(plans[key] is False for key in stale)
+        assert runtime._CROSSING_CODE == table
+        kernel.rejuvenate_root(reason="test")
+        _warm(kernel)
+        assert wear.stale_plan_keys == []
+        assert wear.lifetime_plans == len(stale)
+        assert not set(stale) & set(kernel._vamp._plans)
+        assert runtime._CROSSING_CODE == table
+
+
 class TestInFlightResumption:
     """A root reboot *during* a dispatch chain: the ladder's
     rejuvenate-root rung fires mid-recovery and the caller's request
