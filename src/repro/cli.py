@@ -222,25 +222,31 @@ def build_parser() -> argparse.ArgumentParser:
                                "byte-identical to --jobs 1")
     crucible.add_argument("--state", default=None, metavar="PATH",
                           help="persist the frontier cursor here "
-                               "(enables --resume)")
+                               "(enables --resume; one file per "
+                               "frontier)")
     crucible.add_argument("--resume", action="store_true",
                           help="continue from the --state cursor "
                                "instead of index 0")
     crucible.add_argument("--canary", action="store_true",
                           help="self-test: plant a known transparency "
                                "bug and require find + shrink")
-    crucible.add_argument("--storm", action="store_true",
-                          help="explore the multi-fault storm frontier "
-                               "(simultaneous corruptions recovered by "
-                               "one heartbeat sweep)")
-    crucible.add_argument("--root", action="store_true",
-                          help="explore the root-rejuvenation frontier "
-                               "(root panics and kernel-side aging "
-                               "under live components)")
-    crucible.add_argument("--fleet", action="store_true",
-                          help="explore the fleet-serving frontier "
-                               "(instance kills and router blackholes "
-                               "behind the load balancer)")
+    frontiers = crucible.add_mutually_exclusive_group()
+    frontiers.add_argument("--storm", dest="frontier",
+                           action="store_const", const="storm",
+                           help="explore the multi-fault storm frontier "
+                                "(simultaneous corruptions recovered by "
+                                "one heartbeat sweep)")
+    frontiers.add_argument("--root", dest="frontier",
+                           action="store_const", const="root",
+                           help="explore the root-rejuvenation frontier "
+                                "(root panics and kernel-side aging "
+                                "under live components)")
+    frontiers.add_argument("--fleet", dest="frontier",
+                           action="store_const", const="fleet",
+                           help="explore the fleet-serving frontier "
+                                "(instance kills and router blackholes "
+                                "behind the load balancer)")
+    crucible.set_defaults(frontier="main")
     crucible.add_argument("--corpus-out", default=None, metavar="DIR",
                           help="write minimized violations as corpus "
                                "files into DIR")
@@ -625,8 +631,7 @@ def main(argv: Optional[List[str]] = None, out=sys.stdout) -> int:
                        state_path=args.state, resume=args.resume,
                        corpus_out=args.corpus_out,
                        shrink_limit=args.shrink_limit,
-                       storm=args.storm, root=args.root,
-                       fleet=args.fleet, out=out)
+                       frontier=args.frontier, out=out)
     if args.command == "run":
         return _run_with_obs(
             args, lambda: _execute(args.ids, args, out=out))

@@ -331,12 +331,12 @@ class ComponentCallLog:
 
     def record_count(self) -> int:
         """Total records: call entries plus attached return values."""
-        if not FLAGS.indexed_log:
+        if not FLAGS.fast_paths:
             return sum(e.entry_count() for e in self.entries)
         return self._record_count
 
     def entries_for_key(self, key: Any) -> List[CallLogEntry]:
-        if not FLAGS.indexed_log:
+        if not FLAGS.fast_paths:
             return [e for e in self.entries if e.key == key]
         bucket = self._by_key.get(key)
         if not bucket:
@@ -362,7 +362,7 @@ class ComponentCallLog:
         component's logged history calls into those components"), kept
         incrementally so reading it is O(edges), never O(log).
         """
-        if not FLAGS.indexed_log:
+        if not FLAGS.fast_paths:
             counts: Dict[str, int] = {}
             for entry in self.entries:
                 for record in entry.nested:
@@ -388,7 +388,7 @@ class ComponentCallLog:
         results.  Maintained incrementally; `recompute_space_bytes`
         walks the log and must always agree.
         """
-        if not FLAGS.indexed_log:
+        if not FLAGS.fast_paths:
             return self.recompute_space_bytes()
         return self._space_bytes
 
@@ -556,15 +556,15 @@ def _copy_payload(value: Any) -> Any:
     arguments) need no defensive copy; everything else deep-copies
     exactly as before.
 
-    With ``FLAGS.interned_payloads``, repeated immutable argument
-    tuples additionally share one canonical logged blob.  The blob key
-    carries a recursive type fingerprint: ``(1,) == (True,)`` but they
-    are distinguishable payloads, so equality alone must not let one
-    stand in for the other.
+    Repeated immutable argument tuples additionally share one
+    canonical logged blob.  The blob key carries a recursive type
+    fingerprint: ``(1,) == (True,)`` but they are distinguishable
+    payloads, so equality alone must not let one stand in for the
+    other.
     """
-    if FLAGS.copy_fast_path:
+    if FLAGS.fast_paths:
         if _is_immutable(value):
-            if FLAGS.interned_payloads and type(value) is tuple and value:
+            if type(value) is tuple and value:
                 key = (value, type_fingerprint(value))
                 canonical = _BLOBS.get(key)
                 if canonical is not None:
@@ -584,7 +584,7 @@ def _copy_payload(value: Any) -> Any:
 def _copy_kwargs(kwargs: Dict[str, Any]) -> Dict[str, Any]:
     if not kwargs:
         return {}
-    if FLAGS.copy_fast_path \
+    if FLAGS.fast_paths \
             and all(_is_immutable(v) for v in kwargs.values()):
         return dict(kwargs)
     return copy.deepcopy(kwargs)
@@ -593,12 +593,11 @@ def _copy_kwargs(kwargs: Dict[str, Any]) -> Dict[str, Any]:
 def _payload_bytes(value: Any) -> int:
     """Log-space price of one payload.
 
-    str and immutable-tuple prices are answered from a content-keyed
-    cache when ``FLAGS.interned_payloads`` is on: the price depends
-    only on content, and within the immutable family equal values
-    always price identically (str only equals str; the scalar types
-    whose equality crosses type boundaries all price at 8 and never
-    reach the cache).
+    On the fast paths, str and immutable-tuple prices are answered
+    from a content-keyed cache: the price depends only on content, and
+    within the immutable family equal values always price identically
+    (str only equals str; the scalar types whose equality crosses type
+    boundaries all price at 8 and never reach the cache).
 
     Dispatches on the exact class first (every real payload is a
     built-in); subclasses take the original ``isinstance`` chain in
@@ -610,7 +609,7 @@ def _payload_bytes(value: Any) -> int:
     if cls is str:
         # encoded byte length, not character count (a str payload costs
         # what its UTF-8 serialisation occupies)
-        if not FLAGS.interned_payloads:
+        if not FLAGS.fast_paths:
             return len(value.encode("utf-8"))
         size = _LOG_BYTES.get(value)
         if size is None:
@@ -620,7 +619,7 @@ def _payload_bytes(value: Any) -> int:
             _LOG_BYTES[value] = size
         return size
     if cls is tuple:
-        if FLAGS.interned_payloads and value:
+        if FLAGS.fast_paths and value:
             try:
                 size = _LOG_BYTES.get(value)
             except TypeError:  # unhashable element: compute directly

@@ -13,7 +13,7 @@ for the restoration": a pull releases its message's buffer immediately
 (the durable copy, when the call is logged, lives in the call log, not
 the message buffer).
 
-The batched fast path (``FLAGS.batched_crossings``) adds
+The batched fast path (``FLAGS.fast_paths``) adds
 ``begin_crossing()`` / ``end_crossing()``: the synchronous dispatcher
 knows its pull follows its push immediately, so one crossing reserves
 and releases arena space without constructing a :class:`Message` or
@@ -84,12 +84,12 @@ def payload_size(args: Tuple[Any, ...], kwargs: Dict[str, Any]) -> int:
     """Approximate wire size of a call's arguments (deterministic).
 
     Single pass over ``args`` then ``kwargs.values()`` (no concatenated
-    list).  With ``FLAGS.interned_payloads`` the all-positional case is
-    answered from a content-keyed cache: within the immutable family,
-    equal argument tuples always price identically, so the key is the
-    tuple itself.
+    list).  On the fast paths the all-positional case is answered
+    from a content-keyed cache: within the immutable family, equal
+    argument tuples always price identically, so the key is the tuple
+    itself.
     """
-    if not kwargs and FLAGS.interned_payloads:
+    if not kwargs and FLAGS.fast_paths:
         try:
             size = _WIRE_SIZES.get(args)
         except TypeError:  # unhashable argument somewhere inside
@@ -197,7 +197,7 @@ class MessageDomain:
             obs.set_gauge("msgdom.used_bytes", self.used_bytes)
         return message
 
-    # --- the batched crossing (FLAGS.batched_crossings) -------------------
+    # --- the batched crossing (FLAGS.fast_paths) ------------------------
 
     def begin_crossing(self, args: Tuple[Any, ...],
                        kwargs: Dict[str, Any]) -> Tuple[int, int]:

@@ -71,7 +71,7 @@ from ..fastpath import FLAGS, HANDLES
 from .messages import MESSAGE_HEADER_BYTES, MessageDomain, payload_size
 
 #: interned wire sizes, shared with messages.payload_size (empty — and
-#: therefore a guaranteed miss — while interned_payloads is off)
+#: therefore a guaranteed miss — while the fast paths are off)
 _WIRE_SIZES = HANDLES.wire_sizes
 from .restore import EncapsulatedRestorer, ReplayMismatch, ReplaySession
 from .scheduler import (
@@ -437,7 +437,7 @@ class VampDispatcher:
         # attached: probes fire at the push/pull sites and may reboot
         # components mid-crossing, which needs the reference in-flight
         # bookkeeping.
-        batched = FLAGS.batched_crossings and sim.probes is None
+        batched = FLAGS.fast_paths and sim.probes is None
         plan = None
         fastlane = False
         if obs is not None:
@@ -882,7 +882,7 @@ class VampOSKernel(Kernel):
             comp = self.image.component(name)
             if comp.state is not ComponentState.BOOTED:
                 continue
-            if (FLAGS.dirty_runtime_data
+            if (FLAGS.fast_paths
                     and comp.TRACKS_RUNTIME_DATA_DIRTY
                     and not comp.runtime_data_dirty):
                 continue

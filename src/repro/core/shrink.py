@@ -77,18 +77,10 @@ class LogShrinker:
 
     # --- canceling-function pruning ------------------------------------------------------
 
-    def _entries_for_key(self, key: Any) -> List[CallLogEntry]:
-        """Per-key candidates: the index makes this O(entries for the
-        key); the reference mode scans the whole log as the original
-        implementation did (identical result, identical charges)."""
-        if FLAGS.indexed_log:
-            return self.log.entries_for_key(key)
-        return [e for e in self.log.entries if e.key == key]
-
     def _prune_canceled(self, canceling_entry: CallLogEntry) -> None:
         """Drop the data operations of the canceled session."""
         doomed = [
-            e for e in self._entries_for_key(canceling_entry.key)
+            e for e in self.log.entries_for_key(canceling_entry.key)
             if e is not canceling_entry
             and not e.session_opener
             and not e.canceling
@@ -114,7 +106,7 @@ class LogShrinker:
     def _prune_stale_pair(self, opener_entry: CallLogEntry) -> None:
         """A reused key prunes the previous opener..canceling pair."""
         doomed = [
-            e for e in self._entries_for_key(opener_entry.key)
+            e for e in self.log.entries_for_key(opener_entry.key)
             if e is not opener_entry
         ]
         # Only prune when the old session actually ended (a canceling
@@ -146,7 +138,7 @@ class LogShrinker:
         The per-key live counts make this O(1); the reference scan is
         kept for the neutrality tests.
         """
-        if FLAGS.indexed_log:
+        if FLAGS.fast_paths:
             return self.log.has_multi_entry_key()
         seen: Dict[Any, int] = {}
         for entry in self.log.entries:
@@ -169,7 +161,7 @@ class LogShrinker:
         self.sim.charge("forced_shrink", self.sim.costs.forced_shrink)
         self.stats.forced_shrinks += 1
         by_key: Dict[Any, List[CallLogEntry]] = {}
-        if FLAGS.indexed_log:
+        if FLAGS.fast_paths:
             for key in self.log.live_keys():
                 series = self.log.entries_for_key(key)
                 if series:

@@ -4,14 +4,16 @@
 indices is shipped through :func:`repro.parallel.parallel_map` (one
 cell = one scenario = four runs + the oracle panel), merged back in
 index order, and aggregated into a deterministic report — the printed
-bytes depend only on ``(seed, budget, resume state)``, never on
-``--jobs`` or completion order.  Violations are re-generated in the
+bytes depend only on ``(frontier, seed, budget, resume state)``, never
+on ``--jobs`` or completion order.  Violations are re-generated in the
 parent and delta-debugged serially; minimized scenarios go to the
 corpus directory when one is given.
 
-Resumability: ``--state PATH`` persists the frontier cursor and the
-cumulative tallies, so repeated invocations sweep successive index
-windows of the same seeded frontier without re-running anything.
+Resumability: ``--state PATH`` persists the frontier's name, its
+cursor and the cumulative tallies, so repeated invocations sweep
+successive index windows of the same seeded frontier without
+re-running anything; resuming under another seed or frontier is
+refused.
 
 Canary mode self-tests the whole pipeline: a scenario with a planted
 transparency bug (a reboot silently drops a logged request) must be
@@ -30,30 +32,10 @@ from ..obs.slo import DEFAULT_SLO_TARGET, SloLedger
 from ..parallel import parallel_map
 from ..supervisor import PHASES
 from .corpus import corpus_entry, write_corpus_file
-from .generate import (
-    CONFIGS,
-    FLEET_FAULTS,
-    FLEET_POLICIES,
-    FLEET_SWEEP,
-    ROOT_KINDS,
-    ROOT_SWEEP,
-    SITES_AXIS,
-    STORM_SUBSETS,
-    STORM_SWEEP,
-    SWEEP,
-    axes_for_index,
-    canary_scenario,
-    fleet_axes_for_index,
-    fleet_scenario_for_index,
-    root_axes_for_index,
-    root_scenario_for_index,
-    scenario_for_index,
-    storm_axes_for_index,
-    storm_scenario_for_index,
-)
+from .generate import FRONTIERS, canary_scenario
 from .oracles import ORACLES, evaluate_oracles
 from .runner import run_bundle, violation_postmortem
-from .scenario import FAULT_KINDS, Scenario, scenario_id
+from .scenario import Scenario, scenario_id
 from .shrinker import shrink_events, violation_predicate
 
 #: violations shrunk (and corpus-written) per invocation — the rest
@@ -64,36 +46,21 @@ _SHRINK_CAP = 8
 CANARY_MAX_EVENTS = 6
 
 
-def explore_cell(root_seed: int, index: int, canary: bool,
-                 storm: bool = False, root: bool = False,
-                 fleet: bool = False) -> Dict[str, Any]:
+def explore_cell(root_seed: int, index: int,
+                 frontier: str = "main") -> Dict[str, Any]:
     """One frontier cell: generate, run the bundle, judge.
 
     Module-level and JSON-in/JSON-out so it pickles into pool workers
-    and merges byte-identically.  ``index == -1`` selects the canary
-    scenario (only meaningful with ``canary=True``); ``storm`` selects
-    the multi-fault storm frontier, ``root`` the root-rejuvenation
-    frontier, ``fleet`` the fleet-serving frontier, instead of the
-    main one.
+    and merges byte-identically.  ``frontier`` names the
+    :data:`~repro.crucible.generate.FRONTIERS` entry to draw from;
+    ``index == -1`` selects the canary scenario instead.
     """
     if index < 0:
         scenario = canary_scenario(root_seed)
         config, fault, site = scenario.config, "canary", "reboot"
-    elif fleet:
-        scenario = fleet_scenario_for_index(root_seed, index)
-        policy, kind, _ = fleet_axes_for_index(index)
-        config, fault, site = scenario.config, kind, policy
-    elif root:
-        scenario = root_scenario_for_index(root_seed, index)
-        config, kind, _ = root_axes_for_index(index)
-        fault, site = "root", kind
-    elif storm:
-        scenario = storm_scenario_for_index(root_seed, index)
-        config, subset, _ = storm_axes_for_index(index)
-        fault, site = "storm", "+".join(subset)
     else:
-        scenario = scenario_for_index(root_seed, index)
-        config, fault, site, _ = axes_for_index(index)
+        scenario, config, fault, site = \
+            FRONTIERS[frontier].cell(root_seed, index)
     bundle = run_bundle(scenario)
     verdicts = evaluate_oracles(scenario, bundle)
     main = bundle["main"]
@@ -128,10 +95,10 @@ def explore_cell(root_seed: int, index: int, canary: bool,
     }
 
 
-def _load_state(path: Optional[str], resume: bool,
-                seed: int) -> Dict[str, Any]:
-    empty = {"seed": seed, "next_index": 0, "explored_total": 0,
-             "violations_total": 0}
+def _load_state(path: Optional[str], resume: bool, seed: int,
+                frontier: str) -> Dict[str, Any]:
+    empty = {"seed": seed, "frontier": frontier, "next_index": 0,
+             "explored_total": 0, "violations_total": 0}
     if not path or not resume or not os.path.exists(path):
         return empty
     with open(path) as fh:
@@ -140,6 +107,10 @@ def _load_state(path: Optional[str], resume: bool,
         raise SystemExit(
             f"--resume: state file {path} was produced with seed "
             f"{state.get('seed')}, not {seed}")
+    if state.get("frontier") != frontier:
+        raise SystemExit(
+            f"--resume: state file {path} tracks the "
+            f"{state.get('frontier')} frontier, not {frontier}")
     return state
 
 
@@ -175,37 +146,13 @@ def _render_report(seed: int, start: int, budget: int,
                    shrunk: Dict[int, Dict[str, Any]],
                    corpus_files: Dict[int, str],
                    state: Optional[Dict[str, Any]],
-                   storm: bool = False, root: bool = False,
-                   fleet: bool = False) -> str:
-    if fleet:
-        title = "== crucible: fleet serving exploration =="
-    elif root:
-        title = "== crucible: root rejuvenation exploration =="
-    elif storm:
-        title = "== crucible: multi-fault storm exploration =="
-    else:
-        title = "== crucible: deterministic fault-space exploration =="
-    lines = [title]
+                   frontier: str) -> str:
+    spec = FRONTIERS[frontier]
+    lines = [f"== crucible: {spec.title} =="]
     lines.append(
         f"seed {seed}, budget {budget} "
         f"(frontier indices {start}..{start + budget - 1})")
-    if fleet:
-        lines.append(
-            f"axes: {len(FLEET_POLICIES)} routing policies x "
-            f"{len(FLEET_FAULTS)} instance faults = {FLEET_SWEEP} "
-            f"scenarios per sweep")
-    elif root:
-        lines.append(
-            f"axes: {len(CONFIGS)} configs x {len(ROOT_KINDS)} root "
-            f"fault kinds = {ROOT_SWEEP} scenarios per sweep")
-    elif storm:
-        lines.append(
-            f"axes: {len(CONFIGS)} configs x {len(STORM_SUBSETS)} "
-            f"target subsets = {STORM_SWEEP} scenarios per sweep")
-    else:
-        lines.append(
-            f"axes: {len(CONFIGS)} configs x {len(FAULT_KINDS)} faults "
-            f"x {len(SITES_AXIS)} sites = {SWEEP} scenarios per sweep")
+    lines.append(f"axes: {spec.axes}")
 
     coverage: Dict[str, int] = {}
     pending = 0
@@ -319,8 +266,7 @@ def explore(budget: int = 120, jobs: Optional[int] = 1,
             seed: int = 20240806, canary: bool = False,
             state_path: Optional[str] = None, resume: bool = False,
             corpus_out: Optional[str] = None,
-            shrink_limit: int = 160, storm: bool = False,
-            root: bool = False, fleet: bool = False,
+            shrink_limit: int = 160, frontier: str = "main",
             out=None) -> int:
     """The ``repro crucible`` command body; returns the exit code."""
     import sys
@@ -330,10 +276,10 @@ def explore(budget: int = 120, jobs: Optional[int] = 1,
     if canary:
         return _explore_canary(seed, corpus_out, shrink_limit, out)
 
-    state = _load_state(state_path, resume, seed)
+    state = _load_state(state_path, resume, seed, frontier)
     start = int(state["next_index"])
     cells = parallel_map(explore_cell,
-                         [(seed, index, False, storm, root, fleet)
+                         [(seed, index, frontier)
                           for index in range(start, start + budget)],
                          jobs)
 
@@ -362,8 +308,7 @@ def explore(budget: int = 120, jobs: Optional[int] = 1,
     state["violations_total"] = state["violations_total"] + violations
     print(_render_report(seed, start, budget, cells, shrunk,
                          corpus_files,
-                         state if state_path else None,
-                         storm=storm, root=root, fleet=fleet),
+                         state if state_path else None, frontier),
           file=out)
     if state_path:
         _save_state(state_path, state)
@@ -373,7 +318,7 @@ def explore(budget: int = 120, jobs: Optional[int] = 1,
 def _explore_canary(seed: int, corpus_out: Optional[str],
                     shrink_limit: int, out) -> int:
     """Self-test: the planted bug must be found and shrunk small."""
-    cell = explore_cell(seed, -1, True)
+    cell = explore_cell(seed, -1)
     lines = ["== crucible: canary mode =="]
     lines.append("planted: the first component reboot silently drops "
                  "the newest completed call-log entry")

@@ -20,7 +20,7 @@ streams — never the ``random`` module, never the wall clock.
 
 from __future__ import annotations
 
-from typing import Any, List
+from typing import Any, Callable, Dict, List, NamedTuple, Tuple
 
 from ..parallel.seeding import shard_seed
 from ..sim.rng import DeterministicRNG
@@ -388,3 +388,66 @@ def canary_scenario(root_seed: int) -> Scenario:
     ]
     return Scenario(config="VampOS-DaS", seed=seed, events=events,
                     canary=True, note="canary: dropped log entry")
+
+
+#: what a frontier's cell function returns: the scenario plus the
+#: (config, fault, site) labels the report and corpus metadata show
+CellAxes = Tuple[Scenario, str, str, str]
+
+
+def _main_cell(root_seed: int, index: int) -> CellAxes:
+    config, fault, site, _ = axes_for_index(index)
+    return scenario_for_index(root_seed, index), config, fault, site
+
+
+def _storm_cell(root_seed: int, index: int) -> CellAxes:
+    config, subset, _ = storm_axes_for_index(index)
+    return (storm_scenario_for_index(root_seed, index), config, "storm",
+            "+".join(subset))
+
+
+def _root_cell(root_seed: int, index: int) -> CellAxes:
+    config, kind, _ = root_axes_for_index(index)
+    return root_scenario_for_index(root_seed, index), config, "root", kind
+
+
+def _fleet_cell(root_seed: int, index: int) -> CellAxes:
+    policy, kind, _ = fleet_axes_for_index(index)
+    scenario = fleet_scenario_for_index(root_seed, index)
+    return scenario, scenario.config, kind, policy
+
+
+class Frontier(NamedTuple):
+    """One explorable frontier: its report header and its cells."""
+
+    #: the report title (``== crucible: <title> ==``)
+    title: str
+    #: the report's axes line (after ``axes: ``)
+    axes: str
+    #: ``(root_seed, index)`` -> (scenario, config, fault, site)
+    cell: Callable[[int, int], CellAxes]
+
+
+#: every frontier ``repro crucible`` can sweep, by name
+FRONTIERS: Dict[str, Frontier] = {
+    "main": Frontier(
+        "deterministic fault-space exploration",
+        f"{len(CONFIGS)} configs x {len(FAULT_KINDS)} faults x "
+        f"{len(SITES_AXIS)} sites = {SWEEP} scenarios per sweep",
+        _main_cell),
+    "storm": Frontier(
+        "multi-fault storm exploration",
+        f"{len(CONFIGS)} configs x {len(STORM_SUBSETS)} target subsets "
+        f"= {STORM_SWEEP} scenarios per sweep",
+        _storm_cell),
+    "root": Frontier(
+        "root rejuvenation exploration",
+        f"{len(CONFIGS)} configs x {len(ROOT_KINDS)} root fault kinds "
+        f"= {ROOT_SWEEP} scenarios per sweep",
+        _root_cell),
+    "fleet": Frontier(
+        "fleet serving exploration",
+        f"{len(FLEET_POLICIES)} routing policies x {len(FLEET_FAULTS)} "
+        f"instance faults = {FLEET_SWEEP} scenarios per sweep",
+        _fleet_cell),
+}

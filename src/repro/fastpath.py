@@ -1,7 +1,8 @@
-"""Fast-path switches for the hot-path optimisations.
+"""The fast/reference switch for the hot-path optimisations.
 
 The runtime carries seven wall-clock optimisations that, by design,
-change **no** virtual-time (`sim.charge`) semantics:
+change **no** virtual-time (`sim.charge`) semantics, all behind the one
+switch ``FLAGS.fast_paths``:
 
 * memoized component interfaces + pre-resolved dispatch targets,
 * the per-key call-log index with incremental space accounting,
@@ -16,26 +17,26 @@ change **no** virtual-time (`sim.charge`) semantics:
 * interned payload handles: content-keyed caches let repeated immutable
   payloads share one size computation and one logged blob.
 
-One switch is different in kind: ``parallel_recovery`` overlaps
-independent component reboots as virtual-time tracks.  It keeps ledger
-*totals and counts* bit-identical to the serial path (charges are
-issued in the identical serial order) but deliberately shrinks the
-elapsed clock from the sum of reboot costs to the dependency DAG's
-critical path — that clock delta is the optimisation.  ``reference_mode``
-turns it off, forcing the serial sweep bit-identically.
+Switched off, every one falls back to the original scan-everything /
+copy-everything reference implementation.  The switch exists for one
+purpose: the virtual-time-neutrality tests run the same workload on
+both paths and assert bit-identical ledgers and clocks (see
+``tests/core/test_fastpath.py``).  Production code never turns it off.
 
-Each can be switched off to fall back to the original scan-everything /
-copy-everything reference implementation.  The switches exist for one
-purpose: the virtual-time-neutrality regression tests run the same
-workload under both settings and assert bit-identical ledgers and
-clocks (see ``tests/core/test_fastpath.py``).  Production
-code never turns them off.
+``parallel_recovery`` is separate because it differs in kind: it
+overlaps independent component reboots as virtual-time tracks.  It
+keeps ledger *totals and counts* bit-identical to the serial path
+(charges are issued in the identical serial order) but deliberately
+shrinks the elapsed clock from the sum of reboot costs to the
+dependency DAG's critical path — that clock delta is the
+optimisation, and the chaos soak's storm cell compares both settings.
+``reference_mode()`` clears both switches.
 """
 
 from __future__ import annotations
 
 import contextlib
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Any, Dict, Iterator, Tuple
 
 #: types safe to share by reference: no mutation can ever reach them
@@ -131,57 +132,29 @@ HANDLES = PayloadHandles()
 
 @dataclass
 class FastPathFlags:
-    """Global on/off switches.
+    """Global switches.
 
-    The seven optimisation flags are True outside neutrality tests;
-    ``charge_tracing`` is the one opt-*in* switch (default False): it
-    makes the flight recorder charge virtual time per span, for
-    monitoring-overhead studies only.
+    ``fast_paths`` and ``parallel_recovery`` are True outside
+    neutrality tests; ``charge_tracing`` is the one opt-*in* switch
+    (default False): it makes the flight recorder charge virtual time
+    per span, for monitoring-overhead studies only.
     """
 
-    #: memoize Component.interface() per class and the bound
-    #: method + ExportInfo per instance
-    cached_dispatch: bool = True
-    #: answer call-log key queries from the per-key index instead of
-    #: scanning the whole entry list
-    indexed_log: bool = True
-    #: skip copy.deepcopy for immutable logged payloads
-    copy_fast_path: bool = True
-    #: re-export runtime data only for components that flagged a
-    #: mutation since the last save
-    dirty_runtime_data: bool = True
-    #: copy-on-write snapshots: share immutable region images between
-    #: the store and restored regions (materialized on first write),
-    #: dedupe identical images by content hash, and skip deep-copying
-    #: immutable state blobs
-    cow_snapshots: bool = True
-    #: coalesce the request push/pull + reply push/pull of a synchronous
-    #: crossing into one arena reservation and one scheduler handshake
-    #: (identical charges, no Message object / dict churn); falls back
-    #: to the reference path whenever crucible probes are attached
-    batched_crossings: bool = True
-    #: content-keyed handle caches: repeated immutable payloads share
-    #: one size computation and one logged blob (see PayloadHandles)
-    interned_payloads: bool = True
+    #: the seven virtual-time-neutral optimisations (module docstring);
+    #: off runs the reference implementations
+    fast_paths: bool = True
     #: dependency-aware parallel recovery: when a heartbeat sweep (or a
     #: multi-component ladder rung) must reboot several independent
     #: units, overlap their reboots as virtual-time tracks whose clocks
     #: max-merge instead of summing.  Charges are issued in the exact
     #: serial order, so ledger totals/counts stay bit-identical to the
     #: serial path; only the elapsed clock shrinks to the dependency
-    #: DAG's critical path.  Off (reference_mode) forces the serial
-    #: sweep bit-identically.
+    #: DAG's critical path.  Off forces the serial sweep
+    #: bit-identically.
     parallel_recovery: bool = True
     #: flight recorder charges ``costs.trace_emit`` per span open/close
     #: (virtual time is otherwise never spent on observability)
     charge_tracing: bool = False
-
-    def set_all(self, value: bool) -> None:
-        for f in fields(self):
-            setattr(self, f.name, value)
-        # set_all toggles the *optimisation* flags; tracing stays an
-        # explicit opt-in so reference_mode keeps identical clocks.
-        self.charge_tracing = False
 
 
 #: the process-wide switch block consulted by the hot paths
@@ -190,12 +163,12 @@ FLAGS = FastPathFlags()
 
 @contextlib.contextmanager
 def reference_mode() -> Iterator[FastPathFlags]:
-    """Temporarily disable every fast path (the pre-optimisation
-    reference semantics).  Used by the neutrality tests."""
-    saved = {f.name: getattr(FLAGS, f.name) for f in fields(FLAGS)}
-    FLAGS.set_all(False)
+    """Temporarily run the reference paths: ``fast_paths`` and
+    ``parallel_recovery`` off, ``charge_tracing`` untouched.  Used by
+    the neutrality tests."""
+    saved = FLAGS.fast_paths, FLAGS.parallel_recovery
+    FLAGS.fast_paths = FLAGS.parallel_recovery = False
     try:
         yield FLAGS
     finally:
-        for name, value in saved.items():
-            setattr(FLAGS, name, value)
+        FLAGS.fast_paths, FLAGS.parallel_recovery = saved

@@ -210,7 +210,7 @@ class Region:
     # --- snapshots ------------------------------------------------------------
 
     def snapshot(self) -> RegionSnapshot:
-        if not FLAGS.cow_snapshots:
+        if not FLAGS.fast_paths:
             # Reference semantics: a fresh private image every time.
             backing = None
             if self._shared is not None:
@@ -268,7 +268,7 @@ class Region:
         self.used_bytes = snap.used_bytes
         self.version = snap.version
         self.corrupted = False
-        if FLAGS.cow_snapshots:
+        if FLAGS.fast_paths:
             # Share the stored image; the first write materializes a
             # private copy, so the snapshot can never be corrupted
             # through the region.

@@ -6,7 +6,7 @@ the shutdown/boot routines (which would disturb other components).  The
 paper reuses QEMU's snapshot feature; here a snapshot is the set of
 region images plus an opaque component state blob.
 
-Storage is copy-on-write (gated by ``fastpath.FLAGS.cow_snapshots``):
+Storage is copy-on-write (gated by ``fastpath.FLAGS.fast_paths``):
 region images are immutable ``bytes`` shared between the store and the
 regions restored from them, deduplicated by content hash, and reused
 across takes while the region is unchanged; mutable state blobs are
@@ -35,7 +35,7 @@ def _copy_state_blob(state: Any) -> Any:
     """Deep-copy a component state blob — unless it is transitively
     immutable, in which case sharing the reference is indistinguishable
     (the same fast path the call log applies to logged payloads)."""
-    if FLAGS.cow_snapshots and is_immutable(state):
+    if FLAGS.fast_paths and is_immutable(state):
         return state
     return copy.deepcopy(state)
 

@@ -400,7 +400,7 @@ class Component:
         makes the `dir()` reflection walk a one-time cost instead of a
         per-dispatch one.
         """
-        if FLAGS.cached_dispatch:
+        if FLAGS.fast_paths:
             cached = cls.__dict__.get("_interface_cache")
             if cached is not None:
                 return cached
@@ -412,7 +412,7 @@ class Component:
             info = getattr(attr, "__export_info__", None)
             if info is not None:
                 exported[info.name] = info
-        if FLAGS.cached_dispatch:
+        if FLAGS.fast_paths:
             cls._interface_cache = exported
         return exported
 
@@ -424,7 +424,7 @@ class Component:
         Raises AttributeError for non-exported names, like the
         uncached lookup did.
         """
-        if FLAGS.cached_dispatch:
+        if FLAGS.fast_paths:
             hit = self._export_cache.get(func)
             if hit is not None:
                 return hit
@@ -433,7 +433,7 @@ class Component:
             raise AttributeError(
                 f"{self.NAME} exports no function {func!r}")
         method = getattr(self, func)
-        if FLAGS.cached_dispatch:
+        if FLAGS.fast_paths:
             # Skip the @export forwarding wrapper on the hot path: bind
             # the wrapped function directly (behaviour-identical — the
             # wrapper only forwards *args/**kwargs).

@@ -12,6 +12,8 @@ reference recomputation, and the shrinker edge cases against the
 indexed log specifically.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.core.calllog import ComponentCallLog, _is_immutable, _payload_bytes
@@ -103,16 +105,35 @@ class TestVirtualTimeNeutrality:
         assert fast[2] == slow[2]   # final virtual clock
 
     def test_reference_mode_restores_flags(self):
-        assert FLAGS.indexed_log
+        before = {f.name: getattr(FLAGS, f.name)
+                  for f in dataclasses.fields(FLAGS)}
+        assert FLAGS.fast_paths and FLAGS.parallel_recovery
         with reference_mode():
-            assert not FLAGS.indexed_log
-            assert not FLAGS.cached_dispatch
-            assert not FLAGS.copy_fast_path
-            assert not FLAGS.dirty_runtime_data
-            assert not FLAGS.batched_crossings
-            assert not FLAGS.interned_payloads
-        assert FLAGS.indexed_log and FLAGS.cached_dispatch
-        assert FLAGS.batched_crossings and FLAGS.interned_payloads
+            for name, value in before.items():
+                # every switch goes off except the opt-in tracing
+                # charge, which reference_mode leaves as it found it
+                expected = value if name == "charge_tracing" else False
+                assert getattr(FLAGS, name) is expected, name
+        for name, value in before.items():
+            assert getattr(FLAGS, name) is value, name
+
+    def test_reference_mode_restores_flags_when_the_body_raises(self):
+        before = {f.name: getattr(FLAGS, f.name)
+                  for f in dataclasses.fields(FLAGS)}
+        with pytest.raises(RuntimeError):
+            with reference_mode():
+                raise RuntimeError("workload failed mid-run")
+        for name, value in before.items():
+            assert getattr(FLAGS, name) is value, name
+
+    def test_reference_mode_leaves_charge_tracing_alone(self):
+        FLAGS.charge_tracing = True
+        try:
+            with reference_mode():
+                assert FLAGS.charge_tracing is True
+            assert FLAGS.charge_tracing is True
+        finally:
+            FLAGS.charge_tracing = False
 
 
 class TestBatchedCrossingParity:

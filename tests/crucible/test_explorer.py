@@ -6,8 +6,12 @@ import io
 import json
 import os
 
+import pytest
+
+from repro.cli import build_parser
 from repro.crucible import explore
 from repro.crucible.explorer import CANARY_MAX_EVENTS, explore_cell
+from repro.crucible.generate import FRONTIERS
 from repro.crucible.shrinker import shrink_events
 
 
@@ -17,12 +21,16 @@ def _run(tmp_path=None, **kwargs):
     return code, out.getvalue()
 
 
-def test_report_is_byte_identical_across_jobs():
-    code1, report1 = _run(budget=4, jobs=1, seed=5150)
-    code2, report2 = _run(budget=4, jobs=2, seed=5150)
+@pytest.mark.parametrize("frontier", sorted(FRONTIERS))
+def test_report_is_byte_identical_across_jobs(frontier):
+    code1, report1 = _run(budget=4, jobs=1, seed=5150, frontier=frontier)
+    code2, report2 = _run(budget=4, jobs=2, seed=5150, frontier=frontier)
     assert report1 == report2
-    assert code1 == code2
-    assert "deterministic fault-space exploration" in report1
+    assert code1 == code2 == 0
+    assert report1.startswith(
+        f"== crucible: {FRONTIERS[frontier].title} ==\n")
+    assert f"axes: {FRONTIERS[frontier].axes}\n" in report1
+    assert "violations: none" in report1
 
 
 def test_resume_advances_the_frontier_window(tmp_path):
@@ -42,7 +50,6 @@ def test_resume_advances_the_frontier_window(tmp_path):
 
 
 def test_resume_refuses_a_mismatched_seed(tmp_path):
-    import pytest
     state_path = os.path.join(tmp_path, "state.json")
     _run(budget=2, jobs=1, seed=5150, state_path=state_path)
     with pytest.raises(SystemExit):
@@ -50,8 +57,49 @@ def test_resume_refuses_a_mismatched_seed(tmp_path):
              resume=True)
 
 
+def test_resume_refuses_a_mismatched_frontier(tmp_path):
+    state_path = os.path.join(tmp_path, "state.json")
+    _run(budget=2, jobs=1, seed=5150, state_path=state_path)
+    with pytest.raises(SystemExit, match="main frontier, not storm"):
+        _run(budget=2, jobs=1, seed=5150, state_path=state_path,
+             resume=True, frontier="storm")
+    with open(state_path) as fh:
+        state = json.load(fh)
+    assert state["frontier"] == "main"
+    assert state["next_index"] == 2  # the refused run saved nothing
+
+
+def test_resume_continues_the_same_frontier(tmp_path):
+    state_path = os.path.join(tmp_path, "state.json")
+    _run(budget=2, jobs=1, seed=5150, state_path=state_path,
+         frontier="storm")
+    _, second = _run(budget=2, jobs=1, seed=5150, state_path=state_path,
+                     resume=True, frontier="storm")
+    assert second.startswith(
+        f"== crucible: {FRONTIERS['storm'].title} ==")
+    assert "indices 2..3" in second
+    assert "cumulative: 4 scenario(s) explored" in second
+    with open(state_path) as fh:
+        state = json.load(fh)
+    assert state["frontier"] == "storm"
+    assert state["next_index"] == 4
+
+
+def test_frontier_options_are_mutually_exclusive(capsys):
+    parser = build_parser()
+    with pytest.raises(SystemExit) as excinfo:
+        parser.parse_args(["crucible", "--storm", "--root",
+                           "--budget", "1"])
+    assert excinfo.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+    for option in ("--storm", "--root", "--fleet"):
+        args = parser.parse_args(["crucible", option])
+        assert args.frontier == option[2:]
+    assert parser.parse_args(["crucible"]).frontier == "main"
+
+
 def test_canary_cell_detects_the_planted_violation():
-    cell = explore_cell(20240806, -1, True)
+    cell = explore_cell(20240806, -1)
     assert cell["canary"]
     assert "transparency" in cell["violations"]
 

@@ -9,9 +9,6 @@ handful of events.
 
 from __future__ import annotations
 
-import io
-
-from repro.crucible import explore
 from repro.crucible.fleet import (
     fleet_faultfree_twin,
     is_fleet_scenario,
@@ -118,16 +115,6 @@ def test_corpus_carries_a_pinned_fleet_scenario():
     assert fleet_entries, "expected a ddmin-shrunk fleet corpus entry"
     assert any("transparency" in e["expected"]["violated"]
                for e in fleet_entries)
-
-
-def test_explorer_fleet_frontier_is_deterministic_across_jobs():
-    out1, out2 = io.StringIO(), io.StringIO()
-    code1 = explore(budget=4, jobs=1, seed=SEED, fleet=True, out=out1)
-    code2 = explore(budget=4, jobs=2, seed=SEED, fleet=True, out=out2)
-    assert out1.getvalue() == out2.getvalue()
-    assert code1 == code2 == 0
-    assert "fleet serving exploration" in out1.getvalue()
-    assert "violations: none" in out1.getvalue()
 
 
 def test_unknown_fleet_events_are_rejected():

@@ -172,10 +172,10 @@ class TestReferenceMode:
     """``reference_mode()`` must restore eager-copy semantics."""
 
     def test_flag_exists_and_reference_mode_disables_it(self):
-        assert FLAGS.cow_snapshots
+        assert FLAGS.fast_paths
         with reference_mode():
-            assert not FLAGS.cow_snapshots
-        assert FLAGS.cow_snapshots
+            assert not FLAGS.fast_paths
+        assert FLAGS.fast_paths
 
     def test_reference_restore_copies_eagerly(self):
         with reference_mode():

@@ -16,7 +16,6 @@ The contract under test is the kernel/component state boundary:
 
 from __future__ import annotations
 
-import io
 import json
 
 import pytest
@@ -278,15 +277,3 @@ class TestAgingAccounting:
         assert aging.lifetime_leaked_bytes == lifetime  # ...model not
         assert aging.forgotten_live_blocks == live
         assert aging.observe().lifetime_leaked_bytes == lifetime
-
-
-def test_root_frontier_report_identical_across_jobs():
-    from repro.crucible.explorer import explore
-
-    reports = []
-    for jobs in (1, 2):
-        buf = io.StringIO()
-        code = explore(budget=4, jobs=jobs, root=True, out=buf)
-        assert code == 0
-        reports.append(buf.getvalue())
-    assert reports[0] == reports[1]
