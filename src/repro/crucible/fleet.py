@@ -157,8 +157,7 @@ class _Fleet:
             shed = arrived - admitted
             per_ok = [0] * _REPLICAS
             per_err = [0] * _REPLICAS
-            for _ in range(admitted):
-                k = self.router.route(loads)
+            for k in self.router.route_many(loads, admitted):
                 loads[k] += 1.0
                 if not self.alive[k]:
                     per_err[k] += 1

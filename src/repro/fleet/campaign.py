@@ -31,7 +31,7 @@ merged across shards in canonical order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List
+from typing import Any, Callable, Dict, List, Tuple
 
 from ..metrics.report import ExperimentReport
 from ..obs.metrics import Histogram
@@ -39,8 +39,8 @@ from ..obs.slo import DEFAULT_SLO_TARGET, SLO_ROW_HEADERS, SloLedger
 from ..parallel import parallel_map, shard_seed
 from ..sim.rng import DeterministicRNG
 from .admission import SHED_CHARGE_US, ShedAccount, TokenBucket
-from .instance import FleetInstance
-from .profiles import PROFILES, TenantTraffic
+from .instance import FleetInstance, ProbeReport
+from .profiles import PROFILES, TenantTraffic, TrafficProfile
 from .router import HealthRouter
 
 #: the two arms, in cell order
@@ -184,6 +184,59 @@ def _shard_tenants(spec: FleetSpec, shard: int,
     return tenants
 
 
+def serve_tenant_tick(spec: FleetSpec, reports: List[ProbeReport],
+                      router: HealthRouter, loads: List[float],
+                      admitted: int, profile: TrafficProfile,
+                      draw: Callable[[], float], hist: Histogram
+                      ) -> Tuple[List[int], List[int], int]:
+    """Serve one tenant-tick's ``admitted`` requests: route each, shed
+    it at a full queue, else ``draw()`` its jitter and add its latency
+    to ``hist``.  Updates ``loads``; returns the per-instance ok and
+    error counts and the queue sheds.
+
+    Picks, jitter draws and latencies stay per request and in order;
+    what does not change inside a tenant-tick (the candidate tier,
+    each instance's answer and base latency) is derived once."""
+    capacity = spec.queue_capacity
+    weight = profile.weight
+    # each instance answers "up" (200), "dead" (the timeout) or with
+    # an error page; its latency before queue depth and jitter:
+    states = [report.state() for report in reports]
+    bases = [report.service_us * profile.latency_mult if state == "up"
+             else spec.timeout_us if state == "dead"
+             else report.service_us * spec.errpage_mult
+             for state, report in zip(states, reports)]
+    served: List[int] = []
+    values: List[float] = []
+    queue_shed = 0
+    for idx in router.route_many(loads, admitted):
+        load = loads[idx] + weight
+        if load > capacity:
+            if router.policy == "health":
+                # loads did not move, so every later pick is this
+                # instance again and sheds too
+                queue_shed = admitted - len(served)
+                break
+            queue_shed += 1
+            continue
+        loads[idx] = load
+        served.append(idx)
+        jitter = 0.9 + 0.2 * draw()
+        state = states[idx]
+        if state == "up":
+            values.append(bases[idx] * (1.0 + load / capacity) * jitter)
+        elif state == "dead":
+            values.append(bases[idx])  # the timeout ignores jitter
+        else:
+            values.append(bases[idx] * jitter)
+    hist.observe_many(values)
+    per_ok = [0] * len(reports)
+    per_err = [0] * len(reports)
+    for idx, state in enumerate(states):
+        (per_ok if state == "up" else per_err)[idx] = served.count(idx)
+    return per_ok, per_err, queue_shed
+
+
 def fleet_cell(spec: FleetSpec, arm: str, shard: int,
                cell_seed: int) -> ShardOutcome:
     """One shard of one arm: ``replicas`` supervised unikernels behind
@@ -217,7 +270,6 @@ def fleet_cell(spec: FleetSpec, arm: str, shard: int,
                                      profile=t.profile.name)
                  for t in tenants})
     slo = outcome.slo
-    capacity = spec.queue_capacity
 
     for tick in range(spec.ticks):
         now_us = tick * spec.tick_us
@@ -237,38 +289,12 @@ def fleet_cell(spec: FleetSpec, arm: str, shard: int,
             bucket = buckets[tenant.name]
             bucket.refill()
             admitted = bucket.take(arrived)
-            queue_shed = 0
-            ok = 0
-            err = 0
-            weight = tenant.profile.weight
-            latency_mult = tenant.profile.latency_mult
             stats = outcome.tenants[tenant.name]
-            hist = stats.latency
-            per_ok = [0] * spec.replicas
-            per_err = [0] * spec.replicas
-            for _ in range(admitted):
-                idx = router.route(loads)
-                if loads[idx] + weight > capacity:
-                    queue_shed += 1
-                    continue
-                loads[idx] += weight
-                report = reports[idx]
-                jitter = 0.9 + 0.2 * serve_rng.random()
-                if report.dead:
-                    err += 1
-                    per_err[idx] += 1
-                    hist.observe(spec.timeout_us)
-                elif report.degraded or not report.ok:
-                    err += 1
-                    per_err[idx] += 1
-                    hist.observe(report.service_us * spec.errpage_mult
-                                 * jitter)
-                else:
-                    ok += 1
-                    per_ok[idx] += 1
-                    depth = 1.0 + loads[idx] / capacity
-                    hist.observe(report.service_us * latency_mult
-                                 * depth * jitter)
+            per_ok, per_err, queue_shed = serve_tenant_tick(
+                spec, reports, router, loads, admitted,
+                tenant.profile, serve_rng.random, stats.latency)
+            ok = sum(per_ok)
+            err = sum(per_err)
             shed = (arrived - admitted) + queue_shed
             # the single charge point per tenant-tick (the property
             # tests hold charges == sheds over arbitrary sequences)

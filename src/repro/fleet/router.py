@@ -34,7 +34,8 @@ increments ``misroutes``, and the campaign claims it stays zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from itertools import cycle, islice
+from typing import Iterator, List, Optional, Sequence
 
 HEALTHY = "healthy"
 DEGRADED = "degraded"
@@ -58,6 +59,19 @@ class Observation:
     probe_ok: Optional[bool]
     degraded: bool = False
     dead: bool = False
+
+
+def _least_loaded(candidates: List[int], loads: Sequence[float],
+                  count: int) -> Iterator[int]:
+    """The least-loaded candidate, ``count`` times.  ``index(min())``
+    finds the first of equal loads, and the candidates ascend, so ties
+    go to the lowest index.  Only the last pick's load is re-read
+    before the next pick."""
+    tier = [loads[i] for i in candidates]
+    for _ in range(count):
+        j = tier.index(min(tier))
+        yield candidates[j]
+        tier[j] = loads[candidates[j]]
 
 
 class HealthRouter:
@@ -129,16 +143,32 @@ class HealthRouter:
         """Pick an instance for one request. ``loads`` is the current
         per-instance queue depth; the health policy picks the
         least-loaded candidate (ties -> lowest index)."""
+        return next(self.route_many(loads, 1))
+
+    def route_many(self, loads: Sequence[float],
+                   count: int) -> Iterator[int]:
+        """Picks for ``count`` requests, as ``count`` calls of
+        :meth:`route` would make them.
+
+        Observations cannot arrive between the requests, so the
+        candidate tier is derived once.  Before asking for the next
+        pick the caller may change the load of the last one (the
+        health policy reads it again), but no other.  ``_rr`` and
+        ``misroutes`` advance for all ``count`` picks up front, so a
+        caller that knows the remaining picks (under the health
+        policy, a shed leaves ``loads`` as they were) may stop
+        early."""
         if self.policy == "static":
-            index = self._rr % len(self.states)
-            self._rr += 1
-            return index
+            start = self._rr % len(self.states)
+            self._rr += count
+            order = list(range(start, len(self.states))) \
+                + list(range(start))
+            return islice(cycle(order), count)
         candidates = self.candidates()
-        index = min(candidates, key=lambda i: (loads[i], i))
-        if self.states[index] != HEALTHY \
-                and any(s == HEALTHY for s in self.states):
-            self.misroutes += 1  # pragma: no cover - claim guard
-        return index
+        if self.states[candidates[0]] != HEALTHY \
+                and HEALTHY in self.states:
+            self.misroutes += count  # pragma: no cover - claim guard
+        return _least_loaded(candidates, loads, count)
 
     def healthy_count(self) -> int:
         return sum(1 for s in self.states if s == HEALTHY)

@@ -23,8 +23,11 @@ is purely observational.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from functools import reduce
+from operator import add
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..parallel.merge import merge_sums
 
@@ -102,6 +105,39 @@ class Histogram:
         self.total += value
         index = bucket_index(value)
         self.buckets[index] = self.buckets.get(index, 0) + 1
+
+    def observe_many(self, values: Sequence[float]) -> None:
+        """:meth:`observe` each float in ``values``, in order, in one
+        call: the same count, the same total (added left to right),
+        min, max and buckets.  Bucket counts come from the sorted
+        values, split at the bucket bounds."""
+        if not values:
+            return
+        total = reduce(add, values, self.total)
+        if not math.isfinite(total):
+            # an infinity or NaN is among the values (or the total
+            # already was one): keep observe's per-value rule
+            for value in values:
+                self.observe(value)
+            return
+        low, high = min(values), max(values)
+        if self.count == 0:
+            self.min, self.max = low, high
+        else:
+            self.min, self.max = min(self.min, low), max(self.max, high)
+        self.count += len(values)
+        self.total = total
+        buckets = self.buckets
+        first, last = bucket_index(low), bucket_index(high)
+        start = 0
+        if first != last:
+            ordered = sorted(values)
+            for index in range(first, last):
+                end = bisect_left(ordered, bucket_bounds(index)[1], start)
+                if end > start:
+                    buckets[index] = buckets.get(index, 0) + end - start
+                start = end
+        buckets[last] = buckets.get(last, 0) + len(values) - start
 
     @property
     def mean(self) -> float:

@@ -21,6 +21,9 @@ from repro.fleet.router import (
     Observation,
 )
 
+#: the tiers in routing preference order
+TIERS = (HEALTHY, PROBATION, DEGRADED, DRAINING, DOWN)
+
 #: anything the probe loop can feed the router, including blackholes
 observations = st.one_of(
     st.just(Observation(probe_ok=None)),
@@ -117,3 +120,83 @@ def test_rejects_bad_configuration():
         HealthRouter(0)
     with pytest.raises(ValueError):
         HealthRouter(2, policy="roulette")
+
+
+def reference_route(router, loads):
+    """One pick by the routing rule written out per request: static
+    round-robin, else the least-loaded instance of the best populated
+    tier (ties to the lowest index), counting misroutes."""
+    if router.policy == "static":
+        index = router._rr % len(router.states)
+        router._rr += 1
+        return index
+    for tier in TIERS:
+        candidates = [i for i, s in enumerate(router.states) if s == tier]
+        if candidates:
+            break
+    index = min(candidates, key=lambda i: (loads[i], i))
+    if router.states[index] != HEALTHY and HEALTHY in router.states:
+        router.misroutes += 1
+    return index
+
+
+def serve(picks, loads, weight, capacity):
+    """Apply the serving loop's updates to each pick as it is made: a
+    pick that would overflow ``capacity`` sheds and leaves ``loads``
+    alone.  Returns the picks."""
+    out = []
+    for index in picks:
+        out.append(index)
+        if loads[index] + weight <= capacity:
+            loads[index] += weight
+    return out
+
+
+@given(instances=st.integers(1, 5),
+       policy=st.sampled_from(["health", "static"]),
+       feed=st.lists(st.tuples(st.integers(0, 4), observations),
+                     max_size=40),
+       stale=st.integers(0, 2),
+       warmup=st.integers(0, 7),
+       loads=st.lists(st.floats(0, 50), min_size=5, max_size=5),
+       batches=st.lists(st.tuples(st.integers(0, 40), st.integers(1, 3)),
+                        max_size=4),
+       capacity=st.integers(0, 80))
+def test_batched_picks_equal_sequential_route_calls(
+        instances, policy, feed, stale, warmup, loads, batches, capacity):
+    """``route_many`` makes the picks that ``admitted`` calls of
+    ``route`` (and of the written-out rule) make, with the same load
+    and shed updates between picks; ``_rr`` and ``misroutes`` end up
+    the same."""
+    routers = [HealthRouter(instances, policy=policy, stale_ticks=stale)
+               for _ in range(3)]
+    for router in routers:
+        for index, obs in feed:
+            router.observe(index % instances, obs)
+        for _ in range(warmup):
+            router.route([0.0] * instances)
+    batched, sequential, reference = routers
+    loads_b, loads_s, loads_r = (loads[:instances] for _ in range(3))
+    for admitted, weight in batches:
+        picks_b = serve(batched.route_many(loads_b, admitted), loads_b,
+                        weight, capacity)
+        picks_s = serve((sequential.route(loads_s)
+                         for _ in range(admitted)),
+                        loads_s, weight, capacity)
+        picks_r = serve((reference_route(reference, loads_r)
+                         for _ in range(admitted)),
+                        loads_r, weight, capacity)
+        assert picks_b == picks_s == picks_r
+        assert loads_b == loads_s == loads_r
+        assert batched._rr == sequential._rr == reference._rr
+        assert batched.misroutes == sequential.misroutes \
+            == reference.misroutes
+
+
+def test_route_many_advances_round_robin_for_the_whole_batch():
+    router = HealthRouter(3, policy="static")
+    router.route([0.0] * 3)
+    picks = router.route_many([0.0] * 3, 5)
+    assert router._rr == 6  # before the first pick is taken
+    assert list(picks) == [1, 2, 0, 1, 2]
+    assert router.route([0.0] * 3) == 0

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import math
+
+from hypothesis import given
+from hypothesis import strategies as st
+
 from repro.obs.metrics import (
     Gauge,
     Histogram,
@@ -73,6 +78,73 @@ class TestHistogram:
             hist.observe(value)
         assert Histogram.from_dict(hist.to_dict()).to_dict() \
             == hist.to_dict()
+
+
+#: samples at the bucket rule's edges: zero, sub-unit values, exact
+#: powers of two and their neighbours, plus anything finite
+samples = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.25, 0.999, 1.0, 2.0, 3.0, 4.0, 1024.0,
+                     2.0 ** 40, math.nextafter(2.0, 0.0),
+                     math.nextafter(1024.0, math.inf)]),
+    st.floats(-10.0, 1e12),
+)
+
+
+def fields(hist):
+    """Every histogram field, floats by their exact bits."""
+    return (hist.count, hist.total.hex(), hist.min.hex(), hist.max.hex(),
+            hist.buckets)
+
+
+def one_by_one(batches):
+    hist = Histogram()
+    for batch in batches:
+        for value in batch:
+            hist.observe(value)
+    return hist
+
+
+def in_bulk(batches):
+    hist = Histogram()
+    for batch in batches:
+        hist.observe_many(batch)
+    return hist
+
+
+class TestObserveMany:
+    @given(batches=st.lists(st.lists(samples, max_size=40), max_size=6))
+    def test_equals_repeated_observe(self, batches):
+        assert fields(in_bulk(batches)) == fields(one_by_one(batches))
+
+    @given(left=st.lists(st.lists(samples, max_size=30), max_size=4),
+           right=st.lists(st.lists(samples, max_size=30), max_size=4))
+    def test_merging_bulk_filled_histograms(self, left, right):
+        merged = in_bulk(left).merged_with(in_bulk(right))
+        assert fields(merged) \
+            == fields(one_by_one(left).merged_with(one_by_one(right)))
+
+    def test_edges_of_the_bucket_rule(self):
+        batch = [0.0, 0.5, 1.0, 2.0, 4.0, 3.999, 8.0, 0.0, 1024.0]
+        hist = Histogram()
+        hist.observe_many(batch)
+        assert hist.buckets == {-1: 3, 0: 1, 1: 2, 2: 1, 3: 1, 10: 1}
+        assert fields(hist) == fields(one_by_one([batch]))
+
+    def test_sums_left_to_right(self):
+        # a compensated or reordered sum would give 1.0 here
+        batch = [1e16, 1.0, -1e16, 1.0]
+        assert in_bulk([batch]).total == one_by_one([batch]).total == 1.0
+        assert in_bulk([batch]).total == ((1e16 + 1.0) - 1e16) + 1.0
+
+    def test_non_finite_values_keep_the_observe_rule(self):
+        batches = [[3.0, math.inf, 0.5], [7.0], [math.nan, 2.0]]
+        assert repr(fields(in_bulk(batches))) \
+            == repr(fields(one_by_one(batches)))
+
+    def test_empty_batch_changes_nothing(self):
+        hist = Histogram()
+        hist.observe_many([])
+        assert fields(hist) == fields(Histogram())
 
 
 class TestGauge:
