@@ -105,6 +105,22 @@ class RebootRecord:
     stateless: bool = False
 
 
+class _Tape(tuple):
+    """A compiled crossing side's ``(category, amount)`` charges.
+
+    A tuple that hashes and compares by identity: the flight recorder
+    counts crossings keyed on their tape, and a plan builds its tapes
+    once, so the key costs one pointer hash instead of a walk over
+    every pair.  Equal tapes still land on the same profile rows — the
+    recorder expands each tape into its charges on read.
+    """
+
+    __slots__ = ()
+    __hash__ = object.__hash__
+    __eq__ = object.__eq__
+    __ne__ = object.__ne__
+
+
 class _CrossingPlan:
     """One non-merged crossing, compiled to a charge tape.
 
@@ -233,19 +249,6 @@ def _compile_crossing(tape, deltas, msg_dispatch, caller_unit,
     return run
 
 
-def _replay_obs_crossing(obs, md, tape):
-    """Replay the observability side of one compiled crossing.
-
-    Mirrors exactly what ``begin_crossing``/``end_crossing`` and the
-    per-charge :meth:`Simulation.charge` hook would have reported (see
-    :meth:`FlightRecorder.on_crossing`).  The metrics registry and the
-    virtual-time profile are disjoint accumulators, so grouping the
-    attributions after the tape ran leaves the collector state
-    identical to the interleaved reference sequence.
-    """
-    obs.on_crossing(tape, len(md._in_flight) + 1, md.used_bytes)
-
-
 class VampDispatcher:
     """Message-passing dispatch with logging, scheduling and recovery.
 
@@ -365,10 +368,10 @@ class VampDispatcher:
         plan.caller_unit = caller_unit
         plan.target_unit = target_unit
         plan.thread = thread
-        plan.req_tape = tuple(req_tape)
+        plan.req_tape = _Tape(req_tape)
         (plan.req_switches, plan.req_deps,
          plan.req_wasted, plan.req_fallbacks) = req_deltas
-        plan.rep_tape = tuple(rep_tape)
+        plan.rep_tape = _Tape(rep_tape)
         (plan.rep_switches, plan.rep_deps,
          plan.rep_wasted, plan.rep_fallbacks) = rep_deltas
         plan.req_run = _compile_crossing(req_tape, req_deltas, logged,
@@ -445,7 +448,7 @@ class VampDispatcher:
             obs.inc("dispatch.calls")
         if merged:
             sim.charge("function_call", sim.costs.function_call)
-            if obs is not None:
+            if obs is not None and obs.dispatch_due():
                 dspan = obs.open_span("dispatch", f"{target}.{func}",
                                       caller=caller, merged=True)
         elif batched:
@@ -473,12 +476,15 @@ class VampDispatcher:
                 mid = plan.req_run(sim, md, sched, plan.thread, size)
                 if obs is not None:
                     # The recorder sees the same crossing the reference
-                    # path reports: attributions, counters, then the
-                    # dispatch span under the span open at entry.
-                    _replay_obs_crossing(obs, md, plan.req_tape)
-                    dspan = obs.open_span("dispatch", f"{target}.{func}",
-                                          parent=obs.current_span_id(),
-                                          caller=caller, msg_id=mid)
+                    # path reports (charges, counters, queue depth and
+                    # gauge), then the dispatch span under the span open
+                    # at entry.
+                    obs.on_crossing(plan.req_tape, len(md._in_flight) + 1,
+                                    md.used_bytes)
+                    if obs.dispatch_due():
+                        dspan = obs.open_span("dispatch",
+                                              f"{target}.{func}",
+                                              caller=caller, msg_id=mid)
             else:
                 # Same charges in the same order as the reference triple
                 # (push → dispatch → pull), minus the Message object and
@@ -487,7 +493,7 @@ class VampDispatcher:
                 req_size, req_id = md.begin_crossing(args, kwargs)
                 sched.dispatch(target, needs_msg_thread=logged)
                 md.end_crossing(req_size)
-                if obs is not None:
+                if obs is not None and obs.dispatch_due():
                     dspan = obs.open_span("dispatch", f"{target}.{func}",
                                           parent=parent, caller=caller,
                                           msg_id=req_id)
@@ -496,7 +502,7 @@ class VampDispatcher:
                 caller, target, func, args, kwargs)
             sched.dispatch(target, needs_msg_thread=logged)
             md.vo_pull_msgs(message)
-            if obs is not None:
+            if obs is not None and obs.dispatch_due():
                 # Parent id travels on the message (stamped at push
                 # time): the dispatch span nests under the span that
                 # was open when the request entered the domain.
@@ -514,10 +520,10 @@ class VampDispatcher:
                                session_opener=info.session_opener,
                                canceling=info.canceling,
                                durable=info.durable)
-            # Inlined sim.charge("log_append", ...) on the untraced hot
-            # path (no obs hook, no watcher notify needed).
+            # Inlined sim.charge("log_append", ...) on the hot path (no
+            # watcher notify needed); a recorder counts it directly.
             amt = sim.costs.log_append
-            if obs is None and amt > 0.0 and not sim.clock._watchers:
+            if amt > 0.0 and not sim.clock._watchers:
                 sim.clock._now_us += amt
                 ledger = sim.ledger
                 ledger.elapsed_us += amt
@@ -528,6 +534,8 @@ class VampDispatcher:
                     ledger.counts["log_append"] = 1
                 else:
                     ledger.counts["log_append"] += 1
+                if obs is not None:
+                    obs.charges[obs.path, "log_append", amt] += 1
             else:
                 sim.charge("log_append", amt)
             rec = self._meter._active  # inlined note_log_entries(1)
@@ -554,7 +562,7 @@ class VampDispatcher:
                         or comp.deterministic_faults:
                     comp.check_injected_faults(func)
                 amt = sim.costs.function_body + info.body_cost
-                if obs is None and amt > 0.0 and not sim.clock._watchers:
+                if amt > 0.0 and not sim.clock._watchers:
                     # inlined sim.charge("function_body", amt)
                     sim.clock._now_us += amt
                     ledger = sim.ledger
@@ -566,6 +574,8 @@ class VampDispatcher:
                         ledger.counts["function_body"] = 1
                     else:
                         ledger.counts["function_body"] += 1
+                    if obs is not None:
+                        obs.charges[obs.path, "function_body", amt] += 1
                 else:
                     sim.charge("function_body", amt)
                 result = method(*args, **kwargs)
@@ -613,8 +623,7 @@ class VampDispatcher:
             if caller_log is not None and caller_log.record_retval(
                     target, func, result=result, error=error):
                 amt = sim.costs.retval_append
-                if obs is None and amt > 0.0 \
-                        and not sim.clock._watchers:
+                if amt > 0.0 and not sim.clock._watchers:
                     # inlined sim.charge("retval_append", amt)
                     sim.clock._now_us += amt
                     ledger = sim.ledger
@@ -626,6 +635,8 @@ class VampDispatcher:
                         ledger.counts["retval_append"] = 1
                     else:
                         ledger.counts["retval_append"] += 1
+                    if obs is not None:
+                        obs.charges[obs.path, "retval_append", amt] += 1
                 else:
                     sim.charge("retval_append", amt)
                 rec = self._meter._active  # inlined note_log_entries
@@ -649,7 +660,9 @@ class VampDispatcher:
                         md.begin_crossing(reply_args, {})  # raises
                     plan.rep_run(sim, md, sched, plan.thread, size)
                     if obs is not None:
-                        _replay_obs_crossing(obs, md, plan.rep_tape)
+                        obs.on_crossing(plan.rep_tape,
+                                        len(md._in_flight) + 1,
+                                        md.used_bytes)
                 elif batched and sim.probes is None:
                     rep_size, _ = md.begin_crossing((result,), {})
                     sched.complete(target, caller,

@@ -106,6 +106,25 @@ class Histogram:
         index = bucket_index(value)
         self.buckets[index] = self.buckets.get(index, 0) + 1
 
+    def observe_repeated(self, value: int, times: int) -> None:
+        """:meth:`observe` the integer ``value`` ``times`` times in one
+        call.  Sums of integer-valued floats below 2**53 are exact, so
+        every field matches the repeated calls bit for bit, in any
+        order relative to other integer observations."""
+        value = float(value)
+        if self.count == 0:
+            self.min = value
+            self.max = value
+        else:
+            if value < self.min:
+                self.min = value
+            if value > self.max:
+                self.max = value
+        self.count += times
+        self.total += value * times
+        index = bucket_index(value)
+        self.buckets[index] = self.buckets.get(index, 0) + times
+
     def observe_many(self, values: Sequence[float]) -> None:
         """:meth:`observe` each float in ``values``, in order, in one
         call: the same count, the same total (added left to right),

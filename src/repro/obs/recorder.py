@@ -5,7 +5,10 @@ created while observability is enabled (``repro ... --obs``); it is the
 object the instrumented hot paths talk to through a single
 ``sim.obs is not None`` guard.  All recorders of one process share an
 :class:`ObsCollector`, which owns the span log, the mergeable metrics
-registry and the virtual-time profile.
+registry and the charge and crossing tallies that the virtual-time
+profile is derived from.  The hot hooks only count (one integer bump
+per charge or compiled crossing); sums are computed when the collector
+is read.
 
 Determinism contract (the same one the parallel engine gives reports):
 
@@ -28,10 +31,12 @@ never advances the clock — unless the operator opts into
 from __future__ import annotations
 
 import os
+from collections import defaultdict
 from typing import Any, Dict, List, Optional, TYPE_CHECKING
 
 from ..fastpath import FLAGS
 from .metrics import Gauge, Histogram, MetricsRegistry
+from .profiler import profile_from_tally
 from .spans import Span, renumber
 from .timeline import HealthTimeline
 
@@ -45,7 +50,9 @@ DEFAULT_MAX_SPANS = 250_000
 #: 1-in-N sampling of ``dispatch`` spans (the highest-volume category:
 #: one per cross-component call).  Deterministic by collector counter —
 #: the first of every N dispatches records — so a run stores exactly
-#: ``ceil(calls / N)`` dispatch spans at any ``--jobs`` count.  Metrics
+#: ``ceil(calls / N)`` dispatch spans at any ``--jobs`` count.  The
+#: dispatcher asks :meth:`FlightRecorder.dispatch_due` before it builds
+#: a span, so a sampled-out dispatch costs one counter bump.  Metrics
 #: keep seeing every call exactly; the profile keeps attributing every
 #: charge (same counts, same total time), but charges under a
 #: sampled-out span fold into its parent's path — the dispatch frame
@@ -72,8 +79,9 @@ def _sample_dispatch() -> int:
 class FlightRecorder:
     """Per-simulation span stack + metrics/profile front-end."""
 
-    __slots__ = ("sim", "collector", "track", "_stack", "_path",
-                 "_recorded", "_budget", "_slots")
+    __slots__ = ("sim", "collector", "track", "_stack", "path",
+                 "charges", "_crossings", "_metrics", "_recorded",
+                 "_budget")
 
     def __init__(self, sim: "Simulation", collector: "ObsCollector",
                  track: int) -> None:
@@ -83,18 +91,40 @@ class FlightRecorder:
         #: open spans, innermost last; (span, path-before-it) pairs
         self._stack: List[Any] = []
         #: cached ';'-joined span-name path for profile attribution
-        self._path = ""
+        self.path = ""
+        #: the collector's tallies and live registry, bound once (the
+        #: collector only ever adds into them in place).  ``charges``
+        #: is public: the dispatcher bumps it for the charges it
+        #: applies inline, ``charges[obs.path, category, amount] += 1``.
+        self.charges = collector.charges
+        self._crossings = collector.crossings
+        self._metrics = collector.registry
         self._recorded = 0
         self._budget = _max_spans()
-        #: (path, category) -> the profile's [us, count] slot; spares
-        #: the hot on_charge the string concat and two dict probes.
-        #: Valid because absorb() merges into the slot lists in place.
-        self._slots: Dict[Any, List[float]] = {}
 
     # --- spans ------------------------------------------------------------
 
     def current_span_id(self) -> Optional[int]:
         return self._stack[-1][0].sid if self._stack else None
+
+    def dispatch_due(self) -> bool:
+        """Should this dispatch open its span?  Ask once per dispatch,
+        before building the span's name and arguments (see
+        ENV_SAMPLE_DISPATCH).
+
+        Sampled before :meth:`open_span`'s budget check: a sampled-out
+        span is neither recorded nor "dropped", and the decision is a
+        pure function of the collector-local counter (cells start at
+        zero, so any --jobs sharding keeps exactly the spans the serial
+        run keeps).
+        """
+        collector = self.collector
+        rate = collector.dispatch_sample
+        if rate > 1:
+            seen = collector.dispatch_seen
+            collector.dispatch_seen = seen + 1
+            return not seen % rate
+        return True
 
     def open_span(self, category: str, name: str,
                   parent: Optional[int] = None,
@@ -103,19 +133,6 @@ class FlightRecorder:
         span).  Returns None once the recorder's span budget is spent —
         ``close_span(None)`` is a no-op, so call sites stay branchless.
         """
-        if category == "dispatch":
-            collector = self.collector
-            rate = collector.dispatch_sample
-            if rate > 1:
-                # Sampled before the budget check: a sampled-out span
-                # is neither recorded nor "dropped", and the decision
-                # is a pure function of the collector-local counter
-                # (cells start at zero, so any --jobs sharding keeps
-                # exactly the spans the serial run keeps).
-                seen = collector.dispatch_seen
-                collector.dispatch_seen = seen + 1
-                if seen % rate:
-                    return None
         if self._recorded >= self._budget:
             self.collector.spans_dropped += 1
             return None
@@ -126,8 +143,8 @@ class FlightRecorder:
                     start_us=self.sim.clock.now_us, args=args)
         self.collector.spans.append(span)
         self._recorded += 1
-        self._stack.append((span, self._path))
-        self._path = name if not self._path else self._path + ";" + name
+        self._stack.append((span, self.path))
+        self.path = name if not self.path else self.path + ";" + name
         if FLAGS.charge_tracing:
             self.sim.charge("trace_emit", self.sim.costs.trace_emit)
         return span
@@ -139,7 +156,7 @@ class FlightRecorder:
         # skipped past (their end time is this close's time).
         while self._stack:
             top, path_before = self._stack.pop()
-            self._path = path_before
+            self.path = path_before
             if top.end_us is None:
                 top.end_us = self.sim.clock.now_us
             if top is span:
@@ -152,35 +169,26 @@ class FlightRecorder:
     # --- metrics (thin aliases onto the shared registry) -------------------
 
     def inc(self, name: str, amount: float = 1) -> None:
-        self.collector.metrics.inc(name, amount)
+        self._metrics.inc(name, amount)
 
     def set_gauge(self, name: str, value: float) -> None:
-        self.collector.metrics.set_gauge(name, value)
+        self._metrics.set_gauge(name, value)
 
     def observe(self, name: str, value: float) -> None:
-        self.collector.metrics.observe(name, value)
+        self._metrics.observe(name, value)
 
     # --- virtual-time profiling -------------------------------------------
 
     def on_charge(self, category: str, amount_us: float) -> None:
-        """Attribute one cost-model charge to the open span stack.
+        """Count one cost-model charge against the open span stack.
 
-        The folded key is the span-name path plus the mechanism as the
-        leaf frame — directly consumable by flamegraph.pl/speedscope.
+        One integer bump in the collector's charge tally, keyed
+        ``(span path, category, amount)``; the profile's folded stack
+        (span-name path plus the mechanism as the leaf frame) and its
+        exact sums are derived on read (see
+        :func:`repro.obs.profiler.profile_from_tally`).
         """
-        path = self._path
-        slot = self._slots.get((path, category))
-        if slot is None:
-            key = (path + ";" + category) if path else category
-            profile = self.collector.profile
-            slot = profile.get(key)
-            if slot is None:
-                # 0.0 + x is the same float as x: seeding through the
-                # cached slot stays bit-identical to direct assignment
-                profile[key] = slot = [0.0, 0]
-            self._slots[(path, category)] = slot
-        slot[0] += amount_us
-        slot[1] += 1
+        self.charges[self.path, category, amount_us] += 1
 
     def sample_health(self, kernel: Any) -> None:
         """One heartbeat-driven health sample into the collector's
@@ -203,8 +211,7 @@ class FlightRecorder:
                         len(kernel.supervisor.degraded))
         for name, leaked in leak_snapshot(kernel.image).items():
             timeline.record(f"leak.{name}", now, leaked)
-        self.collector.metrics.set_gauge("trace.dropped",
-                                         self.sim.trace.dropped)
+        self._metrics.set_gauge("trace.dropped", self.sim.trace.dropped)
         if FLAGS.charge_tracing:
             self.sim.charge("trace_emit", self.sim.costs.trace_emit)
 
@@ -213,43 +220,25 @@ class FlightRecorder:
         self.collector.trace_dropped += 1
 
     def on_crossing(self, tape, depth: int, used_bytes: int) -> None:
-        """Bulk-report one compiled domain crossing (the dispatch fast
-        lane's obs hook).
+        """Count one compiled domain crossing (the dispatch fast lane's
+        obs hook).
 
-        Equivalent, state-for-state, to what the reference path reports
-        for the same crossing: one :meth:`on_charge` per tape item (same
-        per-key order and amounts), the ``msgdom.pushes``/``pulls``
-        counters, the queue-depth observation and the used-bytes gauge.
-        Inlined into one call because the tape charges never open or
-        close spans, so the whole crossing attributes under a single
-        unchanged path.
+        One integer bump keyed ``(span path, tape, queue depth)``, plus
+        the ``msgdom.used_bytes`` gauge, which keeps last-value
+        semantics and so is set inline.  Reading the collector folds
+        the tally into exactly what the reference path reports for the
+        same crossing: one charge per tape item under the unchanged
+        path (the tape charges never open or close spans), the
+        ``msgdom.pushes``/``pulls`` counters and the integer
+        queue-depth observation.  ``tape`` is any hashable iterable of
+        ``(category, amount)`` pairs; the dispatcher's hash by identity,
+        so the key costs no walk over the pairs.
         """
-        path = self._path
-        slots = self._slots
-        collector = self.collector
-        for cat, amt in tape:
-            slot = slots.get((path, cat))
-            if slot is None:
-                key = (path + ";" + cat) if path else cat
-                profile = collector.profile
-                slot = profile.get(key)
-                if slot is None:
-                    slot = profile[key] = [0.0, 0]
-                slots[(path, cat)] = slot
-            slot[0] += amt
-            slot[1] += 1
-        metrics = collector.metrics
-        counters = metrics.counters
-        # Same int-seeded sums as MetricsRegistry.inc(name, 1).
-        counters["msgdom.pushes"] = counters.get("msgdom.pushes", 0) + 1
-        counters["msgdom.pulls"] = counters.get("msgdom.pulls", 0) + 1
-        hist = metrics.histograms.get("msgdom.queue_depth")
-        if hist is None:
-            hist = metrics.histograms["msgdom.queue_depth"] = Histogram()
-        hist.observe(depth)
-        gauge = metrics.gauges.get("msgdom.used_bytes")
+        self._crossings[self.path, tape, depth] += 1
+        gauges = self._metrics.gauges
+        gauge = gauges.get("msgdom.used_bytes")
         if gauge is None:
-            gauge = metrics.gauges["msgdom.used_bytes"] = Gauge()
+            gauge = gauges["msgdom.used_bytes"] = Gauge()
         gauge.set(used_bytes)
 
 
@@ -257,9 +246,14 @@ class ObsCollector:
     """Per-process accumulator shared by every recorder."""
 
     def __init__(self) -> None:
-        self.metrics = MetricsRegistry()
-        #: folded stack -> [total virtual us, charge count]
-        self.profile: Dict[str, List[float]] = {}
+        #: the live metrics registry; read it through :attr:`metrics`,
+        #: which folds the pending crossings in first
+        self.registry = MetricsRegistry()
+        #: (span path, category, amount) -> number of such charges
+        self.charges: Dict[Any, int] = defaultdict(int)
+        #: (span path, tape, queue depth) -> number of compiled
+        #: crossings not yet folded into ``charges`` and the registry
+        self.crossings: Dict[Any, int] = defaultdict(int)
         self.spans: List[Span] = []
         self.spans_dropped = 0
         #: trace-ring evictions across every attached simulation
@@ -279,6 +273,47 @@ class ObsCollector:
         #: postmortem documents, in execution order
         self.postmortems: List[Dict[str, Any]] = []
 
+    # --- derived views ----------------------------------------------------
+
+    def _fold_crossings(self) -> None:
+        """Fold the crossing tally into the charge tally and the
+        ``msgdom`` counters and queue-depth histogram.  All integer
+        counts (depths too), so the result does not depend on when the
+        fold runs or how crossings interleave with inline updates."""
+        crossings = self.crossings
+        if not crossings:
+            return
+        charges = self.charges
+        depths: Dict[int, int] = {}
+        for (path, tape, depth), n in crossings.items():
+            for category, amount in tape:
+                charges[path, category, amount] += n
+            depths[depth] = depths.get(depth, 0) + n
+        crossings.clear()
+        registry = self.registry
+        counted = sum(depths.values())
+        counters = registry.counters
+        for name in ("msgdom.pushes", "msgdom.pulls"):
+            counters[name] = counters.get(name, 0) + counted
+        hist = registry.histograms.get("msgdom.queue_depth")
+        if hist is None:
+            hist = registry.histograms["msgdom.queue_depth"] = Histogram()
+        for depth, n in depths.items():
+            hist.observe_repeated(depth, n)
+
+    @property
+    def metrics(self) -> MetricsRegistry:
+        """The live registry, with every crossing so far folded in."""
+        self._fold_crossings()
+        return self.registry
+
+    @property
+    def profile(self) -> Dict[str, List[float]]:
+        """Folded stack -> [total virtual us, charge count], derived
+        from the charge tally (exact sums, rounded once)."""
+        self._fold_crossings()
+        return profile_from_tally(self.charges)
+
     # --- allocation -------------------------------------------------------
 
     def alloc_span_id(self) -> int:
@@ -296,10 +331,11 @@ class ObsCollector:
     def snapshot(self) -> Dict[str, Any]:
         """A picklable blob of everything recorded so far (what a pool
         worker returns alongside its cell result)."""
+        self._fold_crossings()
         return {
             "spans": list(self.spans),
-            "metrics": self.metrics,
-            "profile": {k: list(v) for k, v in self.profile.items()},
+            "metrics": self.registry,
+            "charges": dict(self.charges),
             "n_spans": self._next_span,
             "n_tracks": self._next_track,
             "spans_dropped": self.spans_dropped,
@@ -319,18 +355,12 @@ class ObsCollector:
                                    self._next_track))
         self._next_span += blob["n_spans"]
         self._next_track += blob["n_tracks"]
-        self.metrics.merge_from(blob["metrics"])
-        # Merged IN PLACE (same key-wise sums as a merge_sums fold, and
-        # slot-list identity is preserved): live recorders cache direct
-        # references to the [us, count] slots, which must stay valid.
-        profile = self.profile
-        for key, (us, count) in blob["profile"].items():
-            slot = profile.get(key)
-            if slot is None:
-                profile[key] = [us, count]
-            else:
-                slot[0] += us
-                slot[1] += count
+        self.registry.merge_from(blob["metrics"])
+        # Integer counts: the profile merge is exact and independent of
+        # the absorb order by construction.
+        charges = self.charges
+        for key, n in blob["charges"].items():
+            charges[key] += n
         self.spans_dropped += blob["spans_dropped"]
         self.trace_dropped += blob.get("trace_dropped", 0)
         self.dispatch_seen += blob["dispatch_seen"]

@@ -226,14 +226,17 @@ class TestObsRecordingNeutrality:
     crossing's observability side too — the saved recording must be
     byte-identical to the reference path's, at any sampling rate."""
 
-    def _recording(self, sample=None):
+    def _recording(self, sample=None, workload=None):
         import json
 
         from repro.obs import state as obs_state
 
         obs_state.enable(sample_dispatch=sample)
         try:
-            _fig5_syscall_loop(DAS, iterations=25)
+            if workload is None:
+                _fig5_syscall_loop(DAS, iterations=25)
+            else:
+                workload()
             recording = obs_state.collector().to_recording()
         finally:
             obs_state.disable()
@@ -250,6 +253,21 @@ class TestObsRecordingNeutrality:
         with reference_mode():
             slow = self._recording(sample=16)
         assert fast == slow
+
+    @pytest.mark.parametrize("sample", [1, 16])
+    def test_recording_identical_across_recovery(self, sample):
+        """Reboot-and-replay episodes: the tallies under the nested
+        request/recovery/reboot/replay span paths (and the crossings
+        the restoration makes) fold into the same recording."""
+        import json
+
+        fast = self._recording(sample, _fig8_recovery_loop)
+        with reference_mode():
+            slow = self._recording(sample, _fig8_recovery_loop)
+        assert fast == slow
+        profile = json.loads(fast)["profile"]
+        assert any(";replay-retry;" in key and key.endswith(";msg_push")
+                   for key in profile)
 
 
 class TestSharedCrossingCode:

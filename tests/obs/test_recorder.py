@@ -3,10 +3,21 @@ attribution, and the charge_tracing opt-in."""
 
 from __future__ import annotations
 
-import pytest
+import json
+import math
+from fractions import Fraction
+from functools import reduce
+from operator import add
 
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from repro.core.config import DAS
+from repro.core.runtime import _Tape
 from repro.fastpath import FLAGS, reference_mode
 from repro.obs import state
+from repro.obs.profiler import exact_total
 from repro.obs.recorder import ObsCollector
 from repro.obs.spans import roots_of, span_children
 from repro.sim.engine import Simulation
@@ -86,13 +97,189 @@ class TestProfileAttribution:
         assert state.collector().profile["mpk_check"] == [0.0, 1]
 
 
+#: crossing tapes; the last two are equal but distinct objects, so
+#: identity-keyed tallies must still fold into the same profile rows
+TAPES = (_Tape([("msg_push", 0.3), ("thread_switch", 0.45),
+                ("msg_pull", 0.2)]),
+         _Tape([("msg_push", 0.3), ("dependency_lookup", 0.08),
+                ("wasted_poll", 0.1), ("msg_pull", 0.2)]),
+         _Tape([("msg_push", 0.3), ("msg_pull", 0.2)]))
+TAPES += (_Tape(TAPES[-1]),)
+
+amounts = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=0.0, max_value=1.0, exclude_max=True),  # sub-µs
+    st.sampled_from([0.05, 0.1, 0.3, 0.45, 2.5]),               # repeats
+    st.floats(min_value=1e6, max_value=1e15))                   # large
+span_paths = st.lists(st.sampled_from(["request", "VFS.open", "9PFS",
+                                       "reboot", "replay"]), max_size=3)
+events = st.lists(st.one_of(
+    st.tuples(st.just("charge"), span_paths,
+              st.sampled_from(["msg_push", "function_body",
+                               "snapshot_restore"]), amounts),
+    st.tuples(st.just("crossing"), span_paths,
+              st.integers(0, len(TAPES) - 1), st.integers(1, 5),
+              st.integers(0, 4096)),
+    st.tuples(st.just("read"))), max_size=50)
+
+
+def _play(sim, event, seen):
+    """Run one stream event; ``seen`` counts the crossings so far."""
+    if event[0] == "read":
+        # a mid-run read already sees every crossing folded in
+        metrics = state.collector().metrics
+        assert metrics.counters.get("msgdom.pushes", 0) == seen[0]
+        assert metrics.counters.get("msgdom.pulls", 0) == seen[0]
+        hist = metrics.histograms.get("msgdom.queue_depth")
+        assert (hist.count if hist else 0) == seen[0]
+        return
+    spans = [sim.obs.open_span("request", name) for name in event[1]]
+    if event[0] == "charge":
+        sim.charge(event[2], event[3])
+    else:
+        sim.obs.on_crossing(TAPES[event[2]], event[3], event[4])
+        seen[0] += 1
+    for span in reversed(spans):
+        sim.obs.close_span(span)
+
+
+def _expected_profile(stream):
+    """Exact per-stack sums and counts, straight from the stream."""
+    terms = {}
+    for event in stream:
+        if event[0] == "charge":
+            charges = [(event[2], event[3])]
+        elif event[0] == "crossing":
+            charges = TAPES[event[2]]
+        else:
+            continue
+        for category, amount in charges:
+            key = ";".join(list(event[1]) + [category])
+            terms.setdefault(key, []).append(amount)
+    return {key: (float(sum(map(Fraction, values))), len(values))
+            for key, values in terms.items()}
+
+
+class TestTalliedProfile:
+    """The profile is counted, not summed: one tally bump per charge
+    and per compiled crossing, exact sums derived on read."""
+
+    @given(stream=events, data=st.data())
+    def test_sharded_equals_serial_and_sums_are_exact(self, stream,
+                                                      data):
+        cuts = sorted(set(data.draw(st.lists(
+            st.integers(0, len(stream)), max_size=4))))
+        bounds = [0] + cuts + [len(stream)]
+        shards = [stream[a:b] for a, b in zip(bounds, bounds[1:])]
+
+        state.enable()
+        try:
+            seen = [0]
+            for shard in shards:
+                sim = Simulation(seed=1)
+                for event in shard:
+                    _play(sim, event, seen)
+            serial = state.collector().to_recording()
+        finally:
+            state.disable()
+
+        state.enable()
+        try:
+            blobs = []
+            for shard in shards:
+                state.begin_cell()
+                sim = Simulation(seed=1)
+                for event in shard:
+                    if event[0] != "read":
+                        _play(sim, event, [0])
+                blobs.append(state.harvest_cell())
+            for blob in blobs:
+                state.absorb(blob)
+            sharded = state.collector().to_recording()
+        finally:
+            state.disable()
+
+        assert json.dumps(sharded, sort_keys=True) \
+            == json.dumps(serial, sort_keys=True)
+        got = {key: (slot["us"], slot["count"])
+               for key, slot in serial["profile"].items()}
+        assert got == _expected_profile(stream)
+
+    @given(finite=st.lists(st.tuples(st.floats(0.0, 1e12),
+                                     st.integers(1, 50)), max_size=8),
+           special=st.lists(st.tuples(
+               st.sampled_from([math.inf, -math.inf, math.nan]),
+               st.integers(1, 3)), min_size=1, max_size=3))
+    def test_non_finite_amounts_add_like_floats(self, finite, special):
+        terms = finite + special
+        expected = reduce(add, (amount for amount, n in terms
+                                for _ in range(n)), 0.0)
+        assert repr(exact_total(terms)) == repr(expected)
+
+    def test_non_finite_charge_in_the_profile(self, obs):
+        sim = Simulation(seed=1)
+        for amount in (0.1, math.inf, 0.2):
+            sim.obs.on_charge("heartbeat", amount)
+        sim.obs.on_charge("mpk_check", math.inf)
+        sim.obs.on_charge("mpk_check", -math.inf)
+        profile = state.collector().profile
+        assert profile["heartbeat"] == [math.inf, 3]
+        assert math.isnan(profile["mpk_check"][0])
+
+    def test_exact_sum_is_rounded_once(self, obs):
+        sim = Simulation(seed=1)
+        for _ in range(10):
+            sim.charge("function_call", 0.1)
+        sim.charge("function_call", 1e16)
+        us, count = state.collector().profile["function_call"]
+        assert count == 11
+        # ten 0.1s are a hair over 1.0, which tips 1e16 + 1 (a tie at
+        # this magnitude) up; a running float sum ends a hair under it
+        assert us == float(Fraction(0.1) * 10 + Fraction(1e16)) \
+            == 1e16 + 2
+        assert reduce(add, [0.1] * 10 + [1e16], 0.0) == 1e16
+
+    @pytest.mark.parametrize("loop", ["_fig5_syscall_loop",
+                                      "_fig8_recovery_loop"])
+    def test_profile_counts_every_ledger_charge(self, obs, loop):
+        """Per mechanism, the profile holds exactly the ledger's
+        charges: the tape crossings and the charges the dispatcher
+        applies inline are counted like any ``sim.charge``."""
+        from tests.core import test_fastpath
+
+        workload = getattr(test_fastpath, loop)
+        sim = workload(DAS) if loop == "_fig5_syscall_loop" \
+            else workload()
+        counts, totals = {}, {}
+        for key, (us, count) in state.collector().profile.items():
+            leaf = key.rsplit(";", 1)[-1]
+            counts[leaf] = counts.get(leaf, 0) + count
+            totals[leaf] = totals.get(leaf, 0.0) + us
+        assert counts == sim.ledger.counts
+        assert totals == pytest.approx(sim.ledger.totals)
+
+    def test_mid_run_read_sees_folded_crossings(self, obs):
+        rec = Simulation(seed=1).obs
+        rec.on_crossing(TAPES[0], 2, 64)
+        rec.on_crossing(TAPES[0], 2, 96)
+        metrics = state.collector().metrics
+        assert metrics.counters["msgdom.pushes"] == 2
+        assert metrics.histograms["msgdom.queue_depth"].total == 4.0
+        assert metrics.gauges["msgdom.used_bytes"].value == 96
+        rec.on_crossing(TAPES[1], 1, 0)
+        # the live registry object, refreshed by the next read
+        assert state.collector().metrics is metrics
+        assert metrics.counters["msgdom.pulls"] == 3
+        assert metrics.histograms["msgdom.queue_depth"].buckets \
+            == {0: 1, 1: 2}
+
+
 class TestDispatchSampling:
     """1-in-N dispatch-span sampling: spans thin out to exactly
     ``ceil(calls / N)``, while metrics stay exact and the profile keeps
     attributing every charge."""
 
     def _recording(self, sample):
-        from repro.core.config import DAS
         from tests.core.test_fastpath import _fig5_syscall_loop
 
         state.enable(sample_dispatch=sample)
