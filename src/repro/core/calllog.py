@@ -27,9 +27,10 @@ Hot-path data structures (see DESIGN.md, "Fast-path invariants"):
   O(log length).
 * ``space_bytes()`` / ``record_count()`` are maintained incrementally
   on append / prune / retval-attach instead of walking the log.  A
-  ``CallLogEntry`` notifies its owning log when its ``key`` or
-  ``result`` is assigned after append (the dispatcher does both), so
-  the index and the accounting never go stale.
+  logged entry's ``key`` and ``result`` are assigned after append only
+  through its log (``rekey``, ``set_result``, ``complete``, ``retire``;
+  the dispatcher does both), so the index and the accounting never go
+  stale.
 """
 
 from __future__ import annotations
@@ -75,9 +76,14 @@ class ReturnValueRecord:
 class CallLogEntry:
     """One logged inbound call.
 
-    Slotted (hot-path class: one is built per logged syscall).  The
-    ``_log`` slot is the owning :class:`ComponentCallLog` back-pointer;
-    it is initialised first so ``__setattr__`` can always read it.
+    Slotted (hot-path class: one is built per logged syscall) and free
+    of attribute hooks, so building one costs plain slot stores.  The
+    ``_log`` slot is the owning :class:`ComponentCallLog` back-pointer.
+    Once an entry is in a log, its ``key`` and ``result`` change only
+    through that log (:meth:`ComponentCallLog.rekey`,
+    :meth:`ComponentCallLog.set_result`), which keeps the per-key index
+    and the space accounting exact; ``tests/test_calllog_lint.py``
+    holds the rest of the package to that.
     """
 
     __slots__ = ("seq", "func", "args", "kwargs", "key", "result",
@@ -92,64 +98,47 @@ class CallLogEntry:
                  nested: Optional[List[ReturnValueRecord]] = None,
                  synthetic_patch: Optional[Tuple[Any, Any]] = None,
                  completed: bool = False, alive: bool = True) -> None:
-        oset = object.__setattr__
-        oset(self, "_log", None)
-        oset(self, "seq", seq)
-        oset(self, "func", func)
-        oset(self, "args", args)
-        oset(self, "kwargs", kwargs)
+        self._log: Optional[ComponentCallLog] = None
+        self.seq = seq
+        self.func = func
+        self.args = args
+        self.kwargs = kwargs
         #: session key (fd / fid / socket id) for session-aware shrinking
-        oset(self, "key", key)
-        oset(self, "result", result)
+        self.key = key
+        self.result = result
         #: whether this entry opens a session for its key (open/socket)
-        oset(self, "session_opener", session_opener)
+        self.session_opener = session_opener
         #: whether this entry is a canceling function (close)
-        oset(self, "canceling", canceling)
+        self.canceling = canceling
         #: durable entries hold data the component itself stores (§V-F
         #: caveat); canceling prunes skip them
-        oset(self, "durable", durable)
+        self.durable = durable
         #: return values of the component's outbound calls during this
         #: call
-        oset(self, "nested", nested if nested is not None else [])
+        self.nested = nested if nested is not None else []
         #: forced-shrink synthetic entry: apply this state patch instead
         #: of replaying pruned per-key operations
-        oset(self, "synthetic_patch", synthetic_patch)
+        self.synthetic_patch = synthetic_patch
         #: False while the call is still executing; replay skips
         #: in-flight entries (their nested retvals are partial)
-        oset(self, "completed", completed)
+        self.completed = completed
         #: tombstone flag: False once the entry has been pruned
-        oset(self, "alive", alive)
+        self.alive = alive
         #: cached space_bytes() while registered in a log (maintained by
         #: the owning log so _unregister never re-walks the payloads)
-        oset(self, "_space", 0)
-
-    def __setattr__(self, name: str, value: Any) -> None:
-        # ``key`` and ``result`` are assigned by the dispatcher *after*
-        # the entry is in the log (key_from_result, completion); route
-        # those through the owning log so the per-key index and the
-        # incremental space accounting stay exact.
-        log = self._log
-        if log is not None:
-            if name == "key":
-                log._rekey(self, value)
-                return
-            if name == "result":
-                log._reresult(self, value)
-                return
-        object.__setattr__(self, name, value)
+        self._space = 0
 
     def __getstate__(self) -> Dict[str, Any]:
         # Copies/pickles detach from the owning log: the copy is not in
-        # any log's index, so routing its late assignments through one
-        # would corrupt accounting.
+        # any log's index, so pruning it through one would corrupt
+        # accounting.
         return {name: getattr(self, name) for name in self.__slots__
                 if name != "_log"}
 
     def __setstate__(self, state: Dict[str, Any]) -> None:
-        oset = object.__setattr__
-        oset(self, "_log", None)
+        self._log = None
         for name, value in state.items():
-            oset(self, name, value)
+            setattr(self, name, value)
 
     @property
     def is_synthetic(self) -> bool:
@@ -209,28 +198,21 @@ class ComponentCallLog:
                session_opener: bool = False,
                canceling: bool = False,
                durable: bool = False) -> CallLogEntry:
-        entry = CallLogEntry(
-            seq=next(self._seq),
-            func=func,
-            args=_copy_payload(args),
-            kwargs=_copy_kwargs(kwargs) if kwargs else {},
-            key=key,
-            session_opener=session_opener,
-            canceling=canceling,
-            durable=durable,
-        )
+        entry = CallLogEntry(next(self._seq), func, _copy_payload(args),
+                             _copy_kwargs(kwargs) if kwargs else {}, key,
+                             None, session_opener, canceling, durable)
         # Inlined _register, specialised for a fresh entry: alive is
         # already True, nested is empty and result is None, so the
         # space walk collapses to 64 (header) + 8 (None result) + the
         # args price and the record count to exactly 1.
         self._entries.append(entry)
-        object.__setattr__(entry, "_log", self)
+        entry._log = self
         if key is not None:
             self._index_add(key, entry)
         self._live_count += 1
         self._record_count += 1
         space = 72 + _payload_bytes(entry.args)
-        object.__setattr__(entry, "_space", space)
+        entry._space = space
         self._space_bytes += space
         self.total_appended += 1
         return entry
@@ -298,7 +280,7 @@ class ComponentCallLog:
             self._record_count += 1
             delta = 64 + (_payload_bytes(result) if size < 0 else size)
             self._space_bytes += delta
-            object.__setattr__(entry, "_space", entry._space + delta)
+            entry._space += delta
             counts = self._edge_counts
             counts[target] = counts.get(target, 0) + 1
         self.total_retvals += 1
@@ -313,7 +295,7 @@ class ComponentCallLog:
             for record in entry.nested:
                 delta += 64 + _payload_bytes(record.result)
             self._space_bytes -= delta
-            object.__setattr__(entry, "_space", entry._space - delta)
+            entry._space -= delta
             self._edges_drop(entry.nested)
         entry.nested.clear()
 
@@ -407,9 +389,32 @@ class ComponentCallLog:
         self.total_pruned += removed
         if self._dead > self._COMPACT_FLOOR \
                 and self._dead * 2 > len(self._entries):
-            self._entries = [e for e in self._entries if e.alive]
-            self._dead = 0
+            self._compact()
         return removed
+
+    def complete(self, entry: CallLogEntry, result: Any) -> None:
+        """Record a finished call: its result (see :meth:`set_result`)
+        and the ``completed`` mark replay looks for."""
+        self.set_result(entry, result)
+        entry.completed = True
+
+    def retire(self, entry: CallLogEntry, result: Any) -> None:
+        """Complete ``entry`` and remove it at once (a state-neutral
+        call).  The result is stored unpriced: the removal would only
+        subtract its price again."""
+        entry.result = result
+        entry.completed = True
+        self.drop(entry)
+
+    def drop(self, entry: CallLogEntry) -> None:
+        """``remove_entries([entry])`` for one entry, without the list
+        (the dispatcher's per-call prunes)."""
+        if entry.alive and entry._log is self:
+            self._unregister(entry)
+            self.total_pruned += 1
+            if self._dead > self._COMPACT_FLOOR \
+                    and self._dead * 2 > len(self._entries):
+                self._compact()
 
     def replace_entries(self, doomed: List[CallLogEntry],
                         replacement: CallLogEntry,
@@ -443,8 +448,8 @@ class ComponentCallLog:
             if id(entry) in keep:
                 continue
             if entry.alive:
-                object.__setattr__(entry, "alive", False)
-            object.__setattr__(entry, "_log", None)
+                entry.alive = False
+            entry._log = None
         self._entries.clear()
         self._dead = 0
         self._by_key.clear()
@@ -461,26 +466,31 @@ class ComponentCallLog:
 
     def _register(self, entry: CallLogEntry,
                   index: Optional[int] = None) -> None:
-        object.__setattr__(entry, "alive", True)
+        entry.alive = True
         if index is None:
             self._entries.append(entry)
         else:
             self._entries.insert(index, entry)
-        object.__setattr__(entry, "_log", self)
+        entry._log = self
         if entry.key is not None:
             self._index_add(entry.key, entry)
         self._live_count += 1
         self._record_count += entry.entry_count()
         space = entry.space_bytes()
-        object.__setattr__(entry, "_space", space)
+        entry._space = space
         self._space_bytes += space
         if entry.nested:
             counts = self._edge_counts
             for record in entry.nested:
                 counts[record.target] = counts.get(record.target, 0) + 1
 
+    def _compact(self) -> None:
+        """Drop the tombstones (amortised O(1) per prune)."""
+        self._entries = [e for e in self._entries if e.alive]
+        self._dead = 0
+
     def _unregister(self, entry: CallLogEntry) -> None:
-        object.__setattr__(entry, "alive", False)
+        entry.alive = False
         self._dead += 1
         if entry.key is not None:
             self._index_drop(entry.key)
@@ -518,13 +528,13 @@ class ComponentCallLog:
         if count == 1:
             self._multi_keys -= 1
 
-    def _rekey(self, entry: CallLogEntry, new_key: Any) -> None:
-        """Re-index an entry whose ``key`` is assigned after append
+    def rekey(self, entry: CallLogEntry, new_key: Any) -> None:
+        """Assign ``entry.key`` after append, re-indexing a live entry
         (the dispatcher's key_from_result path)."""
         old_key = entry.key
         if new_key == old_key:
             return
-        object.__setattr__(entry, "key", new_key)
+        entry.key = new_key
         if not entry.alive:
             return
         if old_key is not None:
@@ -532,15 +542,16 @@ class ComponentCallLog:
         if new_key is not None:
             self._index_add(new_key, entry)
 
-    def _reresult(self, entry: CallLogEntry, result: Any) -> None:
-        """Track the space delta when ``result`` is assigned late."""
+    def set_result(self, entry: CallLogEntry, result: Any) -> None:
+        """Assign ``entry.result`` after append, tracking a live
+        entry's space delta (the dispatcher's completion path)."""
         old = entry.result
-        object.__setattr__(entry, "result", result)
+        entry.result = result
         if entry.alive:
             delta = _payload_bytes(result) - _payload_bytes(old)
             if delta:
                 self._space_bytes += delta
-                object.__setattr__(entry, "_space", entry._space + delta)
+                entry._space += delta
 
 
 # --- payload helpers -------------------------------------------------------------

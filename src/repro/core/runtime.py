@@ -39,7 +39,7 @@ from ..memory.mpk import (
 from ..memory.region import Region, RegionKind
 from ..memory.snapshot import SnapshotStore
 from ..sim.engine import Simulation
-from ..unikernel.component import Component, ComponentState
+from ..unikernel.component import LANE_UNLOGGED, Component, ComponentState
 from ..rejuvenation import (
     RootRebootRecord,
     RootWear,
@@ -86,7 +86,7 @@ from .scheduler import (
 
 _RUNNING = ThreadState.RUNNING
 _IDLE = ThreadState.IDLE
-from .shrink import LogShrinker
+from .shrink import LogShrinker, is_scalar_key
 
 
 @dataclass
@@ -130,15 +130,15 @@ class _CrossingPlan:
     caller/target units, the candidate table, whether the call is
     logged and whether the caller keeps a return-value log.  The
     dispatcher compiles that sequence once per (caller, target, logged)
-    and replays it as straight-line dict arithmetic — every individual
-    ``(category, amount)`` charge is still applied separately and in
-    reference order, so the virtual clock and the per-category ledger
-    stay bit-identical to the uncompiled path.
+    and replays it as straight-line arithmetic that adds every
+    ``(category, amount)`` charge to the clock and to its category's
+    sum in reference order, so the virtual clock and the per-category
+    ledger stay bit-identical to the uncompiled path.
 
     ``req_run`` / ``rep_run`` are the tapes code-generated into one
-    straight-line function each (amounts and unit names baked in as
-    constants, the clock accumulated in a local and stored once — the
-    same left-to-right float additions, so the result is bit-identical).
+    straight-line function each (see :func:`_compile_crossing`:
+    amounts and unit names baked in as constants, the clock and each
+    category read and stored once).
     The functions are shared process-wide (see :func:`_compile_crossing`);
     the plan itself is per dispatcher, because it binds this kernel's
     thread object.  The ``*_tape`` / delta slots keep the symbolic form
@@ -165,14 +165,16 @@ def _compile_crossing(tape, deltas, msg_dispatch, caller_unit,
                       target_unit, reply):
     """Code-generate one crossing side into a straight-line function.
 
-    The generated body replays the tape's charges one at a time in
-    reference order (each amount a baked-in constant; ``repr`` of a
-    float round-trips exactly), accumulating the clock in a local and
-    storing it once — the identical sequence of left-to-right float
-    additions, so clock and ledger stay bit-identical to the loop it
-    replaces.  The domain/scheduler bookkeeping that the fast lane
-    performed inline follows, with the per-plan stat deltas folded into
-    constants.
+    The generated body adds the tape's amounts to the clock one at a
+    time in reference order (each amount a baked-in constant; ``repr``
+    of a float round-trips exactly), in one expression that reads and
+    stores the clock once.  The ledger is grouped by category: each
+    distinct category is read and stored once, with its amounts added
+    in tape order — the same left-to-right float additions each
+    per-category running sum sees under one charge per entry, so clock
+    and ledger stay bit-identical to the loop this replaces.  The
+    domain/scheduler bookkeeping that the fast lane performed inline
+    follows, with the per-plan stat deltas folded into constants.
 
     Everything the function does is spelled out in its source text, and
     its globals hold only the two thread-state constants, so one text
@@ -180,28 +182,36 @@ def _compile_crossing(tape, deltas, msg_dispatch, caller_unit,
     :data:`_CROSSING_CODE` by that text before anything is compiled.
     """
     switches, deps, wasted, fallbacks = deltas
+    # The clock and the elapsed sum add every charge in tape order, one
+    # left-associative chain each (``(x + a1) + a2 ...``, never a folded
+    # constant), as one CostLedger.charge per entry would.
+    chain = " + ".join(repr(amt) for _, amt in tape)
     src = ["def run(sim, md, sched, thread, size):",
            "    clock = sim.clock",
            "    ledger = sim.ledger",
            "    totals = ledger.totals",
            "    counts = ledger.counts",
-           "    n = clock._now_us",
-           "    e = ledger.elapsed_us"]
+           f"    clock._now_us = clock._now_us + {chain}",
+           f"    ledger.elapsed_us = ledger.elapsed_us + {chain}"]
+    by_category: Dict[str, List[str]] = {}
     for cat, amt in tape:
-        c, a = repr(cat), repr(amt)
-        # e accumulates per entry (not one folded constant) so the
-        # float addition order matches CostLedger.charge exactly.
-        src += [f"    n += {a}",
-                f"    e += {a}",
-                f"    try:",
-                f"        totals[{c}] += {a}",
-                f"    except KeyError:",
-                f"        totals[{c}] = 0.0 + {a}",
-                f"        counts[{c}] = 1",
-                f"    else:",
-                f"        counts[{c}] += 1"]
-    src += ["    clock._now_us = n",
-            "    ledger.elapsed_us = e",
+        by_category.setdefault(cat, []).append(repr(amt))
+    # Each category's total is read and stored once, its amounts added
+    # in tape order: ``(t + a1) + a2`` is the running sum a charge per
+    # entry builds, and a missing key starts from 0.0 as it does there.
+    # Categories come in first-appearance order, so new keys enter the
+    # ledger in the order the charges would insert them.
+    for cat, amounts in by_category.items():
+        c = repr(cat)
+        src += ["    try:",
+                f"        t = totals[{c}]",
+                f"        k = counts[{c}]",
+                "    except KeyError:",
+                "        t = 0.0",
+                "        k = 0",
+                f"    totals[{c}] = t + {' + '.join(amounts)}",
+                f"    counts[{c}] = k + {len(amounts)}"]
+    src += [
             "    mid = next(md._ids)",
             "    md.pushes += 1",
             "    md.pulls += 1",
@@ -387,8 +397,16 @@ class VampDispatcher:
 
     def invoke(self, caller: str, target: str, func: str,
                args: Tuple[Any, ...], kwargs: Dict[str, Any]) -> Any:
-        kernel = self.kernel
-        sim = self.sim
+        """Dispatch one cross-component call.
+
+        Resolves the export, then runs the call down one of two paths
+        with the same virtual-time effects: the compiled lane
+        (:meth:`_invoke_compiled`) when the crossing has a compiled plan
+        and the scheduler is where the plan starts, the reference
+        interpreter (:meth:`_interpret`) otherwise — merged units,
+        round-robin scheduling, clock watchers, crucible probes and
+        ``reference_mode``.
+        """
         if not self._bound:
             self._bind()
 
@@ -404,16 +422,18 @@ class VampDispatcher:
         # other errno, so a later replay of the caller re-raises it.
         supervisor = self._supervisor
         if supervisor.degraded and supervisor.is_degraded(target):
-            if sim.obs is not None:
-                sim.obs.inc("dispatch.degraded")
+            if self.sim.obs is not None:
+                self.sim.obs.inc("dispatch.degraded")
             error_exc = supervisor.answer_degraded_call(target, func)
-            self._record_caller_retval(caller, target, func, None,
-                                       (error_exc.errno, str(error_exc)))
+            caller_log = self._logs.get(caller)
+            if caller_log is not None:
+                self._record_retval(caller_log, target, func, None,
+                                    (error_exc.errno, str(error_exc)))
             raise error_exc
 
         comp = self._components.get(target)
         if comp is None:
-            comp = kernel.component(target)  # raises the decorated error
+            comp = self.kernel.component(target)  # raises the decorated error
         # Pre-resolved dispatch: one cached dict hit instead of an
         # interface rebuild (raises AttributeError like the old lookup).
         hit = comp._export_cache.get(func)
@@ -424,25 +444,174 @@ class VampDispatcher:
         rec = self._meter._active  # inlined meter.note_transition(2)
         if rec is not None:
             rec.transitions += 2
+        log = self._logs.get(target)
+        lane = (info.lane if log is not None and self._logging_enabled
+                else LANE_UNLOGGED)
+        # Crucible probes fire at the push/pull sites and may reboot
+        # components mid-crossing, which needs the reference in-flight
+        # bookkeeping: with probes attached every call is interpreted.
+        if FLAGS.fast_paths and self.sim.probes is None:
+            logged = lane != LANE_UNLOGGED
+            plan = self._plans.get((caller, target, logged))
+            if plan is None:
+                plan = self._build_plan(caller, target, logged)
+            sched = self._scheduler
+            if (plan is not False
+                    and sched.current == plan.caller_unit
+                    and plan.target_unit not in sched._active_chain
+                    and not self.sim.clock._watchers):
+                return self._invoke_compiled(plan, caller, target, func,
+                                             args, kwargs, comp, method,
+                                             info, log, lane)
+        return self._interpret(caller, target, func, args, kwargs, comp,
+                               method, info, log, lane)
+
+    def _invoke_compiled(self, plan: _CrossingPlan, caller: str,
+                         target: str, func: str, args: Tuple[Any, ...],
+                         kwargs: Dict[str, Any], comp: Component,
+                         method: Callable, info: Any,
+                         log: Optional[ComponentCallLog],
+                         lane: int) -> Any:
+        """The compiled lane: the crossing's charge tapes (see
+        :class:`_CrossingPlan`) around the export's logging lane (see
+        ``LogShrinker.complete``), as straight-line code.
+
+        The clock has no watchers on entry and nothing here adds one
+        before the call body runs, so the append, its charge and the
+        active-stack push may come in any order; the charges themselves
+        are the interpreter's, in its order.
+        """
+        sim = self.sim
+        obs = sim.obs
+        md = self._message_domain
+        sched = self._scheduler
+        dspan = None
+        dispatch_t0 = 0.0
+        if obs is not None:
+            dispatch_t0 = sim.clock.now_us
+            obs.inc("dispatch.calls")
+        psize = None
+        if not kwargs:
+            try:
+                psize = _WIRE_SIZES.get(args)
+            except TypeError:  # unhashable payload
+                psize = None
+        if psize is None:
+            psize = payload_size(args, kwargs)
+        size = MESSAGE_HEADER_BYTES + psize
+        if size > md.region.size_bytes - md.used_bytes:
+            md.begin_crossing(args, kwargs)  # raises (domain full)
+        mid = plan.req_run(sim, md, sched, plan.thread, size)
+        if obs is not None:
+            # The recorder sees the same crossing the interpreter
+            # reports (charges, counters, queue depth and gauge), then
+            # the dispatch span under the span open at entry.
+            obs.on_crossing(plan.req_tape, len(md._in_flight) + 1,
+                            md.used_bytes)
+            if obs.dispatch_due():
+                dspan = obs.open_span("dispatch", f"{target}.{func}",
+                                      caller=caller, msg_id=mid)
+
+        entry = None
+        if lane:
+            key_arg = info.key_arg
+            entry = log.append(
+                func, args, kwargs,
+                args[key_arg] if key_arg is not None and len(args) > key_arg
+                else None,
+                info.session_opener, info.canceling, info.durable)
+            log._active.append(entry)  # push_active
+            amt = sim.costs.log_append
+            if amt > 0.0:
+                # inlined sim.charge("log_append", amt)
+                sim.clock._now_us += amt
+                ledger = sim.ledger
+                ledger.elapsed_us += amt
+                try:
+                    ledger.totals["log_append"] += amt
+                except KeyError:
+                    ledger.totals["log_append"] = 0.0 + amt
+                    ledger.counts["log_append"] = 1
+                else:
+                    ledger.counts["log_append"] += 1
+                if obs is not None:
+                    obs.charges[obs.path, "log_append", amt] += 1
+            else:
+                sim.charge("log_append", amt)
+            rec = self._meter._active  # inlined note_log_entries(1)
+            if rec is not None:
+                rec.log_entries += 1
+            if obs is not None:
+                obs.inc("calllog.appends")
+                obs.set_gauge(f"calllog.bytes.{target}", log.space_bytes())
+
+        result: Any = None
+        error: Optional[Tuple[str, str]] = None
+        try:
+            result = self._execute(comp, method, info, func, args, kwargs,
+                                   log, entry)
+        except SyscallError as exc:
+            error = (exc.errno, str(exc))
+            raise
+        finally:
+            if entry is not None:
+                if error is None:
+                    self._shrinkers[target].complete(entry, result, lane)
+                else:
+                    # A failed call does not change component state;
+                    # keep the log free of it.
+                    log.pop_active(entry)
+                    log.drop(entry)
+            caller_log = self._logs.get(caller)
+            if caller_log is not None:
+                self._record_retval(caller_log, target, func, result, error)
+            if sched.current == plan.target_unit \
+                    and not sim.clock._watchers:
+                reply_args = (result,)
+                try:
+                    psize = _WIRE_SIZES.get(reply_args)
+                except TypeError:  # unhashable payload
+                    psize = None
+                if psize is None:
+                    psize = payload_size(reply_args, {})
+                size = MESSAGE_HEADER_BYTES + psize
+                if size > md.region.size_bytes - md.used_bytes:
+                    md.begin_crossing(reply_args, {})  # raises
+                plan.rep_run(sim, md, sched, plan.thread, size)
+                if obs is not None:
+                    obs.on_crossing(plan.rep_tape, len(md._in_flight) + 1,
+                                    md.used_bytes)
+            else:
+                # A recovery mid-call moved the scheduler (or armed a
+                # watcher): reply the way the interpreter does.
+                self._reply(caller, target, func, result, batched=True)
+            if obs is not None:
+                self._close_dispatch(obs, dspan, error, dispatch_t0)
+        return result
+
+    def _interpret(self, caller: str, target: str, func: str,
+                   args: Tuple[Any, ...], kwargs: Dict[str, Any],
+                   comp: Component, method: Callable, info: Any,
+                   log: Optional[ComponentCallLog], lane: int) -> Any:
+        """The reference interpreter: every crossing and logging step
+        through the generic calls — the message domain and scheduler
+        protocols, ``Simulation.charge``, ``ComponentCallLog.append`` and
+        ``LogShrinker.on_entry_complete``.  The compiled lane must match
+        it charge for charge (``tests/core/test_fastpath.py``,
+        ``tests/core/test_logged_dispatch.py``)."""
+        sim = self.sim
+        obs = sim.obs
+        md = self._message_domain
         sched = self._scheduler
         mm = self._member_map  # inlined scheduler.same_unit
         merged = mm.get(caller, caller) == mm.get(target, target)
-        log = self._logs.get(target)
-        logged = (log is not None and info.logged
-                  and self._logging_enabled)
-
-        # --- request path: message passing + scheduling -------------------
-        obs = sim.obs
+        logged = lane != LANE_UNLOGGED
+        # Same charges in the same order as the message triple (push →
+        # dispatch → pull), minus the Message object and the in-flight
+        # dict churn.
+        batched = FLAGS.fast_paths and sim.probes is None
         dspan = None
         dispatch_t0 = 0.0
-        md = self._message_domain
-        # The batched crossing bails out whenever crucible probes are
-        # attached: probes fire at the push/pull sites and may reboot
-        # components mid-crossing, which needs the reference in-flight
-        # bookkeeping.
-        batched = FLAGS.fast_paths and sim.probes is None
-        plan = None
-        fastlane = False
         if obs is not None:
             dispatch_t0 = sim.clock.now_us
             obs.inc("dispatch.calls")
@@ -452,54 +621,16 @@ class VampDispatcher:
                 dspan = obs.open_span("dispatch", f"{target}.{func}",
                                       caller=caller, merged=True)
         elif batched:
-            plan = self._plans.get((caller, target, logged))
-            if plan is None:
-                plan = self._build_plan(caller, target, logged)
-            if (plan is not False
-                    and sched.current == plan.caller_unit
-                    and plan.target_unit not in sched._active_chain
-                    and not sim.clock._watchers):
-                fastlane = True
-            if fastlane:
-                # --- the compiled request tape (see _CrossingPlan) ----
-                psize = None
-                if not kwargs:
-                    try:
-                        psize = _WIRE_SIZES.get(args)
-                    except TypeError:  # unhashable payload
-                        psize = None
-                if psize is None:
-                    psize = payload_size(args, kwargs)
-                size = MESSAGE_HEADER_BYTES + psize
-                if size > md.region.size_bytes - md.used_bytes:
-                    md.begin_crossing(args, kwargs)  # raises (domain full)
-                mid = plan.req_run(sim, md, sched, plan.thread, size)
-                if obs is not None:
-                    # The recorder sees the same crossing the reference
-                    # path reports (charges, counters, queue depth and
-                    # gauge), then the dispatch span under the span open
-                    # at entry.
-                    obs.on_crossing(plan.req_tape, len(md._in_flight) + 1,
-                                    md.used_bytes)
-                    if obs.dispatch_due():
-                        dspan = obs.open_span("dispatch",
-                                              f"{target}.{func}",
-                                              caller=caller, msg_id=mid)
-            else:
-                # Same charges in the same order as the reference triple
-                # (push → dispatch → pull), minus the Message object and
-                # the in-flight dict churn.
-                parent = obs.current_span_id() if obs is not None else None
-                req_size, req_id = md.begin_crossing(args, kwargs)
-                sched.dispatch(target, needs_msg_thread=logged)
-                md.end_crossing(req_size)
-                if obs is not None and obs.dispatch_due():
-                    dspan = obs.open_span("dispatch", f"{target}.{func}",
-                                          parent=parent, caller=caller,
-                                          msg_id=req_id)
+            parent = obs.current_span_id() if obs is not None else None
+            req_size, req_id = md.begin_crossing(args, kwargs)
+            sched.dispatch(target, needs_msg_thread=logged)
+            md.end_crossing(req_size)
+            if obs is not None and obs.dispatch_due():
+                dspan = obs.open_span("dispatch", f"{target}.{func}",
+                                      parent=parent, caller=caller,
+                                      msg_id=req_id)
         else:
-            message = md.vo_push_msgs(
-                caller, target, func, args, kwargs)
+            message = md.vo_push_msgs(caller, target, func, args, kwargs)
             sched.dispatch(target, needs_msg_thread=logged)
             md.vo_pull_msgs(message)
             if obs is not None and obs.dispatch_due():
@@ -520,93 +651,30 @@ class VampDispatcher:
                                session_opener=info.session_opener,
                                canceling=info.canceling,
                                durable=info.durable)
-            # Inlined sim.charge("log_append", ...) on the hot path (no
-            # watcher notify needed); a recorder counts it directly.
-            amt = sim.costs.log_append
-            if amt > 0.0 and not sim.clock._watchers:
-                sim.clock._now_us += amt
-                ledger = sim.ledger
-                ledger.elapsed_us += amt
-                try:
-                    ledger.totals["log_append"] += amt
-                except KeyError:
-                    ledger.totals["log_append"] = 0.0 + amt
-                    ledger.counts["log_append"] = 1
-                else:
-                    ledger.counts["log_append"] += 1
-                if obs is not None:
-                    obs.charges[obs.path, "log_append", amt] += 1
-            else:
-                sim.charge("log_append", amt)
+            sim.charge("log_append", sim.costs.log_append)
             rec = self._meter._active  # inlined note_log_entries(1)
             if rec is not None:
                 rec.log_entries += 1
-            log._active.append(entry)  # inlined log.push_active
+            log.push_active(entry)
             if obs is not None:
                 obs.inc("calllog.appends")
-                obs.set_gauge(f"calllog.bytes.{target}",
-                              log.space_bytes())
+                obs.set_gauge(f"calllog.bytes.{target}", log.space_bytes())
 
-        # --- execution with failure handling -------------------------------
         result: Any = None
         error: Optional[Tuple[str, str]] = None
         try:
-            try:
-                # Inlined call_interface (same order: hang check, fault
-                # check, body charge, bound-method call) — the guards
-                # skip the calls entirely when no fault is injected,
-                # which is every call outside the fault experiments.
-                if comp.injected_hang:
-                    self._detector.check_hang(comp)
-                if comp.injected_panic is not None \
-                        or comp.deterministic_faults:
-                    comp.check_injected_faults(func)
-                amt = sim.costs.function_body + info.body_cost
-                if amt > 0.0 and not sim.clock._watchers:
-                    # inlined sim.charge("function_body", amt)
-                    sim.clock._now_us += amt
-                    ledger = sim.ledger
-                    ledger.elapsed_us += amt
-                    try:
-                        ledger.totals["function_body"] += amt
-                    except KeyError:
-                        ledger.totals["function_body"] = 0.0 + amt
-                        ledger.counts["function_body"] = 1
-                    else:
-                        ledger.counts["function_body"] += 1
-                    if obs is not None:
-                        obs.charges[obs.path, "function_body", amt] += 1
-                else:
-                    sim.charge("function_body", amt)
-                result = method(*args, **kwargs)
-            except SyscallError as exc:
-                error = (exc.errno, str(exc))
-                raise
-            except (Panic, HangDetected) as failure:
-                # The message thread detected the fault; hand it to
-                # the recovery supervisor, which walks the escalation
-                # ladder (reboot-and-retry first, §II-B) and returns
-                # the retried call's result — or raises the degraded
-                # errno / RecoveryFailed when recovery is impossible.
-                if entry is not None:
-                    log.clear_nested(entry)
-                try:
-                    result = supervisor.handle_failure(
-                        comp, func, args, kwargs, failure)
-                except SyscallError as exc:
-                    error = (exc.errno, str(exc))
-                    raise
+            result = self._execute(comp, method, info, func, args, kwargs,
+                                   log, entry)
+        except SyscallError as exc:
+            error = (exc.errno, str(exc))
+            raise
         finally:
             if entry is not None:
                 log.pop_active(entry)
                 if error is None:
-                    # Direct calls bypass CallLogEntry.__setattr__'s
-                    # name-based routing (identical effect: ``result``
-                    # routes to _reresult, ``completed`` is unrouted).
-                    log._reresult(entry, result)
-                    object.__setattr__(entry, "completed", True)
-                    if info.key_from_result and _is_scalar_key(result):
-                        entry.key = result
+                    log.complete(entry, result)
+                    if info.key_from_result and is_scalar_key(result):
+                        log.rekey(entry, result)
                     if info.key_from_result and result is None:
                         # The call opened no session (accept() with an
                         # empty backlog): nothing to restore, drop it.
@@ -614,91 +682,120 @@ class VampDispatcher:
                     else:
                         self._shrinkers[target].on_entry_complete(entry)
                 else:
-                    # A failed call does not change component state;
-                    # keep the log free of it.
                     log.remove_entries([entry])
-            # Inlined _record_caller_retval: the commonest caller (the
-            # application) keeps no return-value log.
             caller_log = self._logs.get(caller)
-            if caller_log is not None and caller_log.record_retval(
-                    target, func, result=result, error=error):
-                amt = sim.costs.retval_append
-                if amt > 0.0 and not sim.clock._watchers:
-                    # inlined sim.charge("retval_append", amt)
-                    sim.clock._now_us += amt
-                    ledger = sim.ledger
-                    ledger.elapsed_us += amt
-                    try:
-                        ledger.totals["retval_append"] += amt
-                    except KeyError:
-                        ledger.totals["retval_append"] = 0.0 + amt
-                        ledger.counts["retval_append"] = 1
-                    else:
-                        ledger.counts["retval_append"] += 1
-                    if obs is not None:
-                        obs.charges[obs.path, "retval_append", amt] += 1
-                else:
-                    sim.charge("retval_append", amt)
-                rec = self._meter._active  # inlined note_log_entries
-                if rec is not None:
-                    rec.log_entries += 1
-            # --- reply path ------------------------------------------------
+            if caller_log is not None:
+                self._record_retval(caller_log, target, func, result, error)
             if not merged:
-                needs_msg = self._logs.get(caller) is not None
-                if (fastlane and sched.current == plan.target_unit
-                        and not sim.clock._watchers):
-                    # --- the compiled reply tape ----------------------
-                    reply_args = (result,)
-                    try:
-                        psize = _WIRE_SIZES.get(reply_args)
-                    except TypeError:  # unhashable payload
-                        psize = None
-                    if psize is None:
-                        psize = payload_size(reply_args, {})
-                    size = MESSAGE_HEADER_BYTES + psize
-                    if size > md.region.size_bytes - md.used_bytes:
-                        md.begin_crossing(reply_args, {})  # raises
-                    plan.rep_run(sim, md, sched, plan.thread, size)
-                    if obs is not None:
-                        obs.on_crossing(plan.rep_tape,
-                                        len(md._in_flight) + 1,
-                                        md.used_bytes)
-                elif batched and sim.probes is None:
-                    rep_size, _ = md.begin_crossing((result,), {})
-                    sched.complete(target, caller,
-                                   needs_msg_thread=needs_msg)
-                    md.end_crossing(rep_size)
-                else:
-                    reply = md.vo_push_msgs(
-                        target, caller, func, (result,), is_reply=True)
-                    sched.complete(target, caller,
-                                   needs_msg_thread=needs_msg)
-                    md.vo_pull_msgs(reply)
+                self._reply(caller, target, func, result, batched)
             if obs is not None:
-                if error is None:
-                    obs.close_span(dspan)
-                else:
-                    obs.inc("dispatch.errors")
-                    obs.close_span(dspan, errno=error[0])
-                obs.observe("dispatch.latency_us",
-                            sim.clock.now_us - dispatch_t0)
+                self._close_dispatch(obs, dspan, error, dispatch_t0)
         return result
 
-    def _record_caller_retval(self, caller: str, target: str, func: str,
-                              result: Any,
-                              error: Optional[Tuple[str, str]]) -> None:
-        """Store the outcome in the caller's return-value log (§V-B)."""
-        if not self._bound:
-            self._bind()
-        caller_log = self._logs.get(caller)
-        if caller_log is None:
+    def _execute(self, comp: Component, method: Callable, info: Any,
+                 func: str, args: Tuple[Any, ...], kwargs: Dict[str, Any],
+                 log: Optional[ComponentCallLog], entry: Any) -> Any:
+        """Run the export's body and return its result.
+
+        Inlined call_interface (same order: hang check, fault check,
+        body charge, bound-method call) — the guards skip the calls
+        entirely when no fault is injected, which is every call outside
+        the fault experiments.  A panic or hang goes to the recovery
+        supervisor, which walks the escalation ladder (reboot-and-retry
+        first, §II-B) and returns the retried call's result — or raises
+        the degraded errno / RecoveryFailed when recovery is impossible.
+        """
+        sim = self.sim
+        try:
+            if comp.injected_hang:
+                self._detector.check_hang(comp)
+            if comp.injected_panic is not None or comp.deterministic_faults:
+                comp.check_injected_faults(func)
+            amt = sim.costs.function_body + info.body_cost
+            if amt > 0.0 and not sim.clock._watchers:
+                # inlined sim.charge("function_body", amt)
+                sim.clock._now_us += amt
+                ledger = sim.ledger
+                ledger.elapsed_us += amt
+                try:
+                    ledger.totals["function_body"] += amt
+                except KeyError:
+                    ledger.totals["function_body"] = 0.0 + amt
+                    ledger.counts["function_body"] = 1
+                else:
+                    ledger.counts["function_body"] += 1
+                obs = sim.obs
+                if obs is not None:
+                    obs.charges[obs.path, "function_body", amt] += 1
+            else:
+                sim.charge("function_body", amt)
+            return method(*args, **kwargs)
+        except (Panic, HangDetected) as failure:
+            # The message thread detected the fault: the retry must
+            # repopulate the entry's return values.
+            if entry is not None:
+                log.clear_nested(entry)
+            return self._supervisor.handle_failure(comp, func, args,
+                                                   kwargs, failure)
+
+    def _record_retval(self, caller_log: ComponentCallLog, target: str,
+                       func: str, result: Any,
+                       error: Optional[Tuple[str, str]]) -> None:
+        """Store a call's outcome in the caller's return-value log
+        (§V-B): dispatched and degraded calls alike."""
+        if not caller_log.record_retval(target, func, result=result,
+                                        error=error):
             return
-        if caller_log.record_retval(target, func, result=result,
-                                    error=error):
-            self.sim.charge("retval_append", self.sim.costs.retval_append)
-            rec = self._meter._active  # inlined note_log_entries(1)
-            if rec is not None:
-                rec.log_entries += 1
+        sim = self.sim
+        amt = sim.costs.retval_append
+        if amt > 0.0 and not sim.clock._watchers:
+            # inlined sim.charge("retval_append", amt)
+            sim.clock._now_us += amt
+            ledger = sim.ledger
+            ledger.elapsed_us += amt
+            try:
+                ledger.totals["retval_append"] += amt
+            except KeyError:
+                ledger.totals["retval_append"] = 0.0 + amt
+                ledger.counts["retval_append"] = 1
+            else:
+                ledger.counts["retval_append"] += 1
+            obs = sim.obs
+            if obs is not None:
+                obs.charges[obs.path, "retval_append", amt] += 1
+        else:
+            sim.charge("retval_append", amt)
+        rec = self._meter._active  # inlined note_log_entries(1)
+        if rec is not None:
+            rec.log_entries += 1
+
+    def _reply(self, caller: str, target: str, func: str, result: Any,
+               batched: bool) -> None:
+        """The interpreted reply crossing, target back to caller."""
+        md = self._message_domain
+        sched = self._scheduler
+        needs_msg = self._logs.get(caller) is not None
+        if batched and self.sim.probes is None:
+            rep_size, _ = md.begin_crossing((result,), {})
+            sched.complete(target, caller, needs_msg_thread=needs_msg)
+            md.end_crossing(rep_size)
+        else:
+            reply = md.vo_push_msgs(target, caller, func, (result,),
+                                    is_reply=True)
+            sched.complete(target, caller, needs_msg_thread=needs_msg)
+            md.vo_pull_msgs(reply)
+
+    def _close_dispatch(self, obs: Any, dspan: Any,
+                        error: Optional[Tuple[str, str]],
+                        dispatch_t0: float) -> None:
+        """Close the dispatch span and record the call's latency."""
+        if error is None:
+            obs.close_span(dspan)
+        else:
+            obs.inc("dispatch.errors")
+            obs.close_span(dspan, errno=error[0])
+        obs.observe("dispatch.latency_us", self.sim.clock.now_us - dispatch_t0)
+
 
 class VampOSKernel(Kernel):
     """A unikernel image run under VampOS."""
@@ -1602,10 +1699,6 @@ class VampOSKernel(Kernel):
 
     def total_memory_bytes(self) -> int:
         return self.image.total_memory_bytes() + self.memory_overhead_bytes()
-
-
-def _is_scalar_key(value: Any) -> bool:
-    return isinstance(value, (int, str)) and not isinstance(value, bool)
 
 
 def build_vampos(spec: "Any", sim: Simulation,

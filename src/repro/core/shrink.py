@@ -23,11 +23,22 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from ..sim.engine import Simulation
-from ..unikernel.component import Component
+from ..unikernel.component import (
+    LANE_CANCELING,
+    LANE_KEYED,
+    LANE_OPENER,
+    LANE_RESULT_KEY,
+    Component,
+)
 from .calllog import CallLogEntry, ComponentCallLog
 from ..fastpath import FLAGS
 
 DEFAULT_SHRINK_THRESHOLD = 100
+
+
+def is_scalar_key(value: Any) -> bool:
+    """Whether a key_from_result call's result can key its entry."""
+    return isinstance(value, (int, str)) and not isinstance(value, bool)
 
 
 @dataclass
@@ -53,7 +64,49 @@ class LogShrinker:
         self.enabled = enabled
         self.stats = ShrinkStats()
 
-    # --- hook called after each logged call completes -------------------------------
+    # --- hooks called after each logged call completes -------------------------------
+
+    def complete(self, entry: CallLogEntry, result: Any, lane: int) -> None:
+        """The compiled dispatch's completion of one logged call.
+
+        Closes the active entry, records the result and applies the
+        shrink rules of the export's lane (see ``LANE_*`` in
+        :mod:`repro.unikernel.component`) as straight-line code.  Charge
+        for charge and prune for prune it is the reference completion:
+        ``pop_active``, ``set_result``, ``completed``, the
+        key_from_result rekey or drop, then :meth:`on_entry_complete`.
+        """
+        log = self.log
+        log.pop_active(entry)
+        if lane == LANE_KEYED and entry.key is not None and self.enabled \
+                and self.component.entry_is_state_neutral(entry.func,
+                                                          entry.key):
+            # The call changed nothing restoration needs (socket
+            # read/write): it leaves the log as it completes.
+            log.retire(entry, result)
+            self.stats.entries_removed += 1
+            self.sim.charge("log_prune", self.sim.costs.log_prune)
+            return
+        log.complete(entry, result)
+        if lane == LANE_RESULT_KEY:
+            if result is None:
+                # The call opened no session (accept() with an empty
+                # backlog): nothing to restore, drop it.
+                log.drop(entry)
+                return
+            if is_scalar_key(result):
+                log.rekey(entry, result)
+            self.on_entry_complete(entry)
+            return
+        if not self.enabled:
+            return
+        if entry.key is not None:
+            if lane == LANE_CANCELING:
+                self._prune_canceled(entry)
+            elif lane == LANE_OPENER:
+                self._prune_stale_pair(entry)
+        if len(log) > self.threshold and self._compactable():
+            self.force_shrink()
 
     def on_entry_complete(self, entry: CallLogEntry) -> None:
         if not self.enabled:

@@ -45,6 +45,23 @@ class ComponentState(enum.Enum):
     SHUTDOWN = "shutdown"
 
 
+# An export's logging lane: how VampOS logs a call to it and shrinks
+# the entry when the call completes, fixed by the export's flags (see
+# ``ExportInfo.lane`` and ``repro.core.shrink.LogShrinker.complete``).
+#: not logged
+LANE_UNLOGGED = 0
+#: keyed by an argument (or keyless); the entry may turn out
+#: state-neutral on completion (VFS socket read/write)
+LANE_KEYED = 1
+#: opens the session its key argument names: prunes the stale pair
+LANE_OPENER = 2
+#: cancels the session its key argument names: prunes its data ops
+LANE_CANCELING = 3
+#: keyed by its result (open, accept) — and any flag mix the lanes
+#: above do not cover: completes through the full shrink rules
+LANE_RESULT_KEY = 4
+
+
 @dataclass(frozen=True)
 class ExportInfo:
     """Metadata attached to an exported interface function."""
@@ -72,6 +89,22 @@ class ExportInfo:
     #: functions must NOT prune it; only a canceling call for the same
     #: key (e.g. remove) or forced-shrink compaction may
     durable: bool = False
+    #: the logging lane the flags above select (derived, one of LANE_*)
+    lane: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if not self.logged:
+            lane = LANE_UNLOGGED
+        elif self.key_from_result \
+                or (self.canceling and self.session_opener):
+            lane = LANE_RESULT_KEY
+        elif self.canceling:
+            lane = LANE_CANCELING
+        elif self.session_opener:
+            lane = LANE_OPENER
+        else:
+            lane = LANE_KEYED
+        object.__setattr__(self, "lane", lane)
 
 
 def export(state_changing: bool = True, logged: Optional[bool] = None,

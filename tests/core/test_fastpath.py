@@ -86,6 +86,14 @@ def _ledger_state(sim):
             sim.clock.now_us)
 
 
+def _exact_ledger_state(sim):
+    """As :func:`_ledger_state`, but ordered and exact: insertion order
+    of both ledger maps and every float as ``float.hex``."""
+    return (list(sim.ledger.counts.items()),
+            [(cat, total.hex()) for cat, total in sim.ledger.totals.items()],
+            sim.clock.now_us.hex())
+
+
 class TestVirtualTimeNeutrality:
     """Flags on vs. reference mode: bit-identical virtual time."""
 
@@ -97,12 +105,12 @@ class TestVirtualTimeNeutrality:
     ], ids=["fig5_vampos", "fig5_unikraft", "fig8_recovery",
             "shrink_heavy"])
     def test_workload_is_neutral(self, workload):
-        fast = _ledger_state(workload())
+        fast = _exact_ledger_state(workload())
         with reference_mode():
-            slow = _ledger_state(workload())
-        assert fast[0] == slow[0]   # per-category charge counts
-        assert fast[1] == slow[1]   # per-category totals (us)
-        assert fast[2] == slow[2]   # final virtual clock
+            slow = _exact_ledger_state(workload())
+        assert fast[0] == slow[0]   # per-category counts, in key order
+        assert fast[1] == slow[1]   # per-category totals: bits, key order
+        assert fast[2] == slow[2]   # final virtual clock, bits
 
     def test_reference_mode_restores_flags(self):
         before = {f.name: getattr(FLAGS, f.name)
@@ -419,11 +427,11 @@ class TestIncrementalAccounting:
     def test_late_key_and_result_assignment_reindexes(self):
         log = ComponentCallLog("VFS")
         entry = log.append("open", ("/f",), {})
-        entry.result = b"r" * 50   # dispatcher completion path
-        entry.key = 3              # dispatcher key_from_result path
+        log.set_result(entry, b"r" * 50)  # dispatcher completion path
+        log.rekey(entry, 3)               # dispatcher key_from_result path
         assert log.entries_for_key(3) == [entry]
         self._check(log)
-        entry.key = 4              # rekey moves the index bucket
+        log.rekey(entry, 4)               # rekey moves the index bucket
         assert log.entries_for_key(3) == []
         assert log.entries_for_key(4) == [entry]
         self._check(log)

@@ -105,8 +105,8 @@ class TestRestorerSkips:
         comp.boot()
         log = ComponentCallLog("SESSION")
         good = log.append("open_session", (), {})
-        good.result = 1
-        good.key = 1
+        log.set_result(good, 1)
+        log.rekey(good, 1)
         good.completed = True
         bad = log.append("operate", (1,), {}, key=1)  # never completed
         restorer = EncapsulatedRestorer(sim)
@@ -136,7 +136,7 @@ class TestRestorerSkips:
         comp.sessions[1] = {"ops": 0}  # occupy id 1
         log = ComponentCallLog("SESSION")
         entry = log.append("operate", (1,), {}, key=1)
-        entry.result = 999  # recorded result that won't match
+        log.set_result(entry, 999)  # recorded result that won't match
         entry.completed = True
         stats = EncapsulatedRestorer(sim).replay(
             comp, log, ReplaySession("SESSION"))

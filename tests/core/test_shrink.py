@@ -74,10 +74,10 @@ def record(log, shrinker, func, comp, *args):
                        session_opener=info.session_opener,
                        canceling=info.canceling)
     result = getattr(comp, func)(*args)
-    entry.result = result
+    log.set_result(entry, result)
     entry.completed = True
     if info.key_from_result:
-        entry.key = result
+        log.rekey(entry, result)
     shrinker.on_entry_complete(entry)
     return result
 
